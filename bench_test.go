@@ -19,9 +19,11 @@ import (
 	"hypersort/internal/core"
 	"hypersort/internal/cube"
 	"hypersort/internal/diagnosis"
+	"hypersort/internal/engine"
 	"hypersort/internal/experiments"
 	"hypersort/internal/machine"
 	"hypersort/internal/maxsubcube"
+	"hypersort/internal/obs"
 	"hypersort/internal/partition"
 	"hypersort/internal/recovery"
 	"hypersort/internal/routing"
@@ -179,9 +181,10 @@ func BenchmarkFTSort(b *testing.B) {
 // BenchmarkEnginePlanCache isolates the component the engine amortizes:
 // acquiring a configuration's partition decisions. "fresh" pays the
 // cutting-dimension search plus machine construction on every call
-// (hypersort.New); "cached" hits the engine's plan cache
-// (Engine.Partition after warm-up). Their ratio is the per-request
-// saving the plan cache delivers on repeated configurations.
+// (hypersort.New); "cached" hits an engine shard's plan cache
+// (internal/engine's Plan after warm-up) and converts the plan to the
+// public Partition view. Their ratio is the per-request saving the plan
+// cache delivers on repeated configurations.
 func BenchmarkEnginePlanCache(b *testing.B) {
 	b.ReportAllocs()
 	cfg := Config{Dim: 6, Faults: []NodeID{0, 1, 2, 4, 8}}
@@ -195,15 +198,23 @@ func BenchmarkEnginePlanCache(b *testing.B) {
 	})
 	b.Run("cached", func(b *testing.B) {
 		b.ReportAllocs()
-		eng := NewEngine(EngineConfig{})
-		if _, err := eng.Partition(cfg); err != nil {
+		eng := engine.New(0, 0)
+		defer eng.Close()
+		eng.Instrument(obs.NewRegistry())
+		ecfg, err := engineConfig(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eng.Plan(ecfg); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := eng.Partition(cfg); err != nil {
+			plan, err := eng.Plan(ecfg)
+			if err != nil {
 				b.Fatal(err)
 			}
+			_ = partitionInfo(plan)
 		}
 	})
 }

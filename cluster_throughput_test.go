@@ -147,11 +147,11 @@ func BenchmarkClusterThroughput(b *testing.B) {
 
 // TestClusterThroughputSmoke is the CI-sized cluster storm, driven
 // through the public facade: a concurrent burst over the degradation
-// ladder must come back correctly sorted from a sharded cluster, with
+// ladder must come back correctly sorted from a sharded engine, with
 // every request accounted for and none shed. Run in the CI
 // throughput-smoke leg at GOMAXPROCS=1 and 4.
 func TestClusterThroughputSmoke(t *testing.T) {
-	cl := NewCluster(ClusterConfig{Shards: 4, Replicas: 1, PoolSize: 1, BatchWorkers: 32, Mode: ModeDirect})
+	cl := NewEngine(EngineConfig{Shards: 4, Replicas: 1, PoolSize: 1, BatchWorkers: 32, Mode: ModeDirect})
 	defer cl.Close()
 	ladder := []Config{
 		{Dim: 2},

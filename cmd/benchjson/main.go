@@ -37,6 +37,7 @@ import (
 	"os"
 	"os/exec"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -98,7 +99,9 @@ func main() {
 		}
 	}
 
-	results, err := parseBench(string(raw))
+	// go test inherits this process's GOMAXPROCS (the environment
+	// variable or the CPU count), which is what names its -N suffix.
+	results, err := parseBench(string(raw), runtime.GOMAXPROCS(0))
 	if err != nil {
 		fatal(err)
 	}
@@ -139,19 +142,29 @@ func main() {
 //
 //	BenchmarkFig7c-4   2   119450477 ns/op   23925104 B/op   20650 allocs/op
 //	BenchmarkEngineThroughput/batching-4   516145   3923 ns/op   254930 req/s   145 B/op   1 allocs/op
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(?:\s+[\d.eE+-]+ [\w/.-]+)*?\s+(\d+) B/op\s+(\d+) allocs/op`)
+var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+([\d.]+) ns/op(?:\s+[\d.eE+-]+ [\w/.-]+)*?\s+(\d+) B/op\s+(\d+) allocs/op`)
 
 // parseBench extracts Results from go test -bench output, collapsing
 // repeated rows of one benchmark (go test -count N) into per-metric
 // medians. Benchmarks without -benchmem columns are skipped (everything
 // in this repo reports allocations).
-func parseBench(out string) ([]Result, error) {
+//
+// procs is the GOMAXPROCS the benchmarks ran at: go test appends
+// "-<procs>" to every name when procs > 1 and nothing at procs == 1, so
+// exactly that suffix is stripped and names match across runner sizes.
+// A sub-benchmark's own numeric suffix (".../cluster-4") is part of its
+// name and survives either way.
+func parseBench(out string, procs int) ([]Result, error) {
 	samples := make(map[string]*[3][]float64)
 	var order []string
+	suffix := "-" + strconv.Itoa(procs)
 	for _, line := range strings.Split(out, "\n") {
 		m := benchLine.FindStringSubmatch(strings.TrimSpace(line))
 		if m == nil {
 			continue
+		}
+		if procs > 1 {
+			m[1] = strings.TrimSuffix(m[1], suffix)
 		}
 		ns, err := strconv.ParseFloat(m[2], 64)
 		if err != nil {

@@ -39,7 +39,7 @@ func TestRetryAfterSeconds(t *testing.T) {
 			for _, v := range c.observe {
 				h.Observe(v)
 			}
-			if got := retryAfterSeconds(h, nil); got != c.want {
+			if got := retryAfterSeconds(h, 0); got != c.want {
 				t.Fatalf("retryAfterSeconds = %d, want %d", got, c.want)
 			}
 		})
@@ -104,10 +104,10 @@ func TestServeRetryAfterOnBackpressure(t *testing.T) {
 }
 
 // newClusterTestServer stands up the production handler set over a
-// sharded cluster backend.
-func newClusterTestServer(t *testing.T, chaos bool) (*httptest.Server, *hypersort.Cluster) {
+// sharded engine.
+func newClusterTestServer(t *testing.T, chaos bool) (*httptest.Server, *hypersort.Engine) {
 	t.Helper()
-	cl := hypersort.NewCluster(hypersort.ClusterConfig{
+	cl := hypersort.NewEngine(hypersort.EngineConfig{
 		Shards:       3,
 		Replicas:     1,
 		PoolSize:     1,
@@ -122,9 +122,9 @@ func newClusterTestServer(t *testing.T, chaos bool) (*httptest.Server, *hypersor
 }
 
 // TestServeClusterBackend checks the handler set is topology-blind: a
-// cluster behind the same mux serves sorts correctly and /v1/metrics
-// reports both the shard-summed engine view (under the key dashboards
-// already read) and the router's cluster section.
+// sharded engine behind the same mux serves sorts correctly and
+// /v1/metrics reports both the shard-summed engine view (under the key
+// dashboards already read) and the router's cluster section.
 func TestServeClusterBackend(t *testing.T) {
 	srv, cl := newClusterTestServer(t, false)
 	resp, err := http.Post(srv.URL+"/v1/sort", "application/json", strings.NewReader(sortBody(4, []int64{3}, 128)))
@@ -164,10 +164,10 @@ func TestServeClusterBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	if payload.Engine == nil {
-		t.Fatal("/v1/metrics lost the engine section on a cluster backend")
+		t.Fatal("/v1/metrics lost the engine section on a sharded engine")
 	}
 	if payload.Cluster == nil {
-		t.Fatal("/v1/metrics missing the cluster section on a cluster backend")
+		t.Fatal("/v1/metrics missing the cluster section on a sharded engine")
 	}
 	if payload.Cluster.Requests != 1 {
 		t.Fatalf("cluster section reports %d requests, want 1", payload.Cluster.Requests)
@@ -178,7 +178,7 @@ func TestServeClusterBackend(t *testing.T) {
 }
 
 // TestServeClusterChaosAllShards checks `serve -chaos` against a
-// sharded backend: inject arms every shard (the router may serve the
+// sharded engine: inject arms every shard (the router may serve the
 // configuration from home or any replica), a struck sort still answers
 // 200 with sorted keys, and disarm stands the whole fleet down.
 func TestServeClusterChaosAllShards(t *testing.T) {

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -16,19 +15,6 @@ import (
 	"hypersort/internal/trace"
 )
 
-// backend is what the handlers need from the serving layer — satisfied
-// by both *hypersort.Engine (the classic single-engine service) and
-// *hypersort.Cluster (the sharded router behind -shards), so the whole
-// handler set is topology-blind. InjectFault and DisarmFaults address
-// every shard on a cluster backend, which is exactly what a drill
-// wants: the router may serve a configuration from its home shard or
-// any replica.
-type backend interface {
-	SortBatchContext(ctx context.Context, reqs []hypersort.Request) []hypersort.Result
-	InjectFault(cfg hypersort.Config, injs ...hypersort.Injection) error
-	DisarmFaults(cfg hypersort.Config) error
-}
-
 // newMux assembles the service's routes. Factored out of main so the
 // conformance tests can drive the exact production handler set through
 // httptest. ring may be nil (tracing disabled): /v1/trace then returns
@@ -37,11 +23,10 @@ type backend interface {
 // default — arming kills against production traffic is a drill, not a
 // service feature). routing is the -routing default: requests that do
 // not name a "routing" policy themselves inherit it.
-func newMux(eng backend, ring *trace.Ring, chaos bool, routing hypersort.RoutingPolicy) *http.ServeMux {
+func newMux(eng *hypersort.Engine, ring *trace.Ring, chaos bool, routing hypersort.RoutingPolicy) *http.ServeMux {
 	// The queue-wait histogram feeds Retry-After on 503s. Retrieved by
-	// name (registration is idempotent) so the handlers work against any
-	// backend that instruments the shared engine bundle — which every
-	// Engine and Cluster does at construction.
+	// name (registration is idempotent): every Engine instruments the
+	// shared engine bundle at construction.
 	queueWait := obs.Default().Histogram("hypersort_engine_queue_wait_ns",
 		"Nanoseconds a request waited for execution capacity (lane queue or machine-pool acquire).")
 	mux := http.NewServeMux()
@@ -62,22 +47,15 @@ func newMux(eng backend, ring *trace.Ring, chaos bool, routing hypersort.Routing
 		if !requireGet(w, r) {
 			return
 		}
-		payload := map[string]any{
+		// The shard-summed engine view under the key dashboards read,
+		// plus the router totals and the per-shard split.
+		m := eng.Metrics()
+		writeJSON(w, http.StatusOK, map[string]any{
+			"engine":   m.Engine,
+			"cluster":  m,
 			"memory":   readMemMetrics(),
 			"registry": obs.Default().Snapshot(),
-		}
-		switch be := eng.(type) {
-		case *hypersort.Engine:
-			payload["engine"] = be.Metrics()
-		case *hypersort.Cluster:
-			// Clusters report the shard-summed engine view under the same
-			// key dashboards already read, plus the router totals and the
-			// per-shard split.
-			cm := be.Metrics()
-			payload["engine"] = cm.Engine
-			payload["cluster"] = cm
-		}
-		writeJSON(w, http.StatusOK, payload)
+		})
 	})
 	// Chrome trace-event JSON of the most recent machine events — load
 	// the response in https://ui.perfetto.dev. ?last=N trims to the N
@@ -126,7 +104,7 @@ func newMux(eng backend, ring *trace.Ring, chaos bool, routing hypersort.Routing
 		res := eng.SortBatchContext(r.Context(), []hypersort.Request{req})[0]
 		status := statusFor(res.Err)
 		if status == http.StatusServiceUnavailable {
-			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(queueWait, eng)))
+			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(queueWait, eng.QueueWaitHint())))
 		}
 		writeJSON(w, status, toWire(req, res))
 	})
@@ -137,19 +115,23 @@ func newMux(eng backend, ring *trace.Ring, chaos bool, routing hypersort.Routing
 		if !readJSON(w, r, &body) {
 			return
 		}
-		reqs := make([]hypersort.Request, len(body.Requests))
-		preErr := make([]error, len(body.Requests))
+		// Entries that fail conversion answer their error in place and
+		// never reach the engine; only the valid ones are dispatched,
+		// and pos maps each dispatched request back to its slot.
+		out := make([]wireResult, len(body.Requests))
+		reqs := make([]hypersort.Request, 0, len(body.Requests))
+		pos := make([]int, 0, len(body.Requests))
 		for i, wr := range body.Requests {
-			reqs[i], preErr[i] = wr.toRequest(routing)
-		}
-		results := eng.SortBatchContext(r.Context(), reqs)
-		out := make([]wireResult, len(results))
-		for i, res := range results {
-			if preErr[i] != nil {
-				out[i] = wireResult{Err: preErr[i].Error()}
+			req, err := wr.toRequest(routing)
+			if err != nil {
+				out[i] = wireResult{Err: err.Error()}
 				continue
 			}
-			out[i] = toWire(reqs[i], res)
+			reqs = append(reqs, req)
+			pos = append(pos, i)
+		}
+		for j, res := range eng.SortBatchContext(r.Context(), reqs) {
+			out[pos[j]] = toWire(reqs[j], res)
 		}
 		writeJSON(w, http.StatusOK, map[string]any{"results": out})
 	})
@@ -195,29 +177,17 @@ func newMux(eng backend, ring *trace.Ring, chaos bool, routing hypersort.Routing
 	return mux
 }
 
-// queueWaitHinter is implemented by backends that learn queue wait from
-// somewhere other than the local histogram — the multi-process proxy's
-// cluster, whose shards report their own medians on every response. The
-// local histogram alone would be blind there: the proxy never runs an
-// engine, so its local p50 stays zero no matter how backed up the
-// shards are.
-type queueWaitHinter interface{ QueueWaitHint() int64 }
-
 // retryAfterSeconds derives the Retry-After hint for a 503 from the
 // observed p50 queue wait: if the median admitted request waits that
 // long for capacity, a shed request retrying sooner would likely just
 // be shed again. The observation is the worse of the local histogram's
-// p50 and — when the backend reports one — the remote shards' own
-// medians. Ceiling to whole seconds with a floor of 1 — the header's
-// unit is seconds and "0" would invite an immediate hot retry loop, the
-// opposite of backpressure.
-func retryAfterSeconds(queueWait *obs.Histogram, be backend) int {
-	p50 := queueWait.Quantile(0.5)
-	if h, ok := be.(queueWaitHinter); ok {
-		if w := h.QueueWaitHint(); w > p50 {
-			p50 = w
-		}
-	}
+// p50 and hint, the remote shards' own medians (Engine.QueueWaitHint —
+// the proxy never runs an engine, so its local histogram alone would
+// stay blind to backed-up shards). Ceiling to whole seconds with a
+// floor of 1 — the header's unit is seconds and "0" would invite an
+// immediate hot retry loop, the opposite of backpressure.
+func retryAfterSeconds(queueWait *obs.Histogram, hint int64) int {
+	p50 := max(queueWait.Quantile(0.5), hint)
 	secs := (p50 + int64(time.Second) - 1) / int64(time.Second)
 	if secs < 1 {
 		secs = 1

@@ -21,19 +21,21 @@
 // median queue wait (minimum 1s). -no-batching restores the unbatched
 // per-request path.
 //
-// -shards N runs N independent engine shards behind a consistent-hash
-// router instead of one engine: same-configuration traffic keeps fusing
-// within its home shard, hot configurations spill to -replicas replica
-// shards past -spill-high-water in-flight requests, and when home plus
-// replicas all reach -shed-limit the router sheds with the same 503
-// contract before the request touches any queue (see DESIGN.md §11).
+// The service holds exactly one *hypersort.Engine, which is always a
+// consistent-hash router over engine shards; -shards N sets how many
+// (0 = 1 shard, the single-engine deployment). Same-configuration
+// traffic keeps fusing within its home shard, hot configurations spill
+// to -replicas replica shards past -spill-high-water in-flight
+// requests, and when home plus replicas all reach -shed-limit the
+// router sheds with the same 503 contract before the request touches
+// any queue (see DESIGN.md §11).
 //
-// -cluster-mode splits the -shards topology across PROCESSES (see
-// DESIGN.md §13). "shard" serves one engine over the pipelined binary
-// wire protocol instead of HTTP — start N of them, one per core or
-// host. "proxy" serves the normal HTTP API but routes every request to
-// the shard processes named by -shard-addrs on the same consistent-hash
-// ring the in-process cluster uses, spilling and shedding against the
+// -cluster-mode splits the shards across PROCESSES (see DESIGN.md §13).
+// "shard" serves one engine shard over the pipelined binary wire
+// protocol instead of HTTP — start N of them, one per core or host.
+// "proxy" serves the normal HTTP API but routes every request to the
+// shard processes named by -shard-addrs on the same consistent-hash
+// ring the in-process shards use, spilling and shedding against the
 // live in-flight gauges each shard feeds back on every response. A dead
 // shard is detected by transport error, routed around via ring
 // successors (zero failed requests for in-flight storms), and reprobed
@@ -65,8 +67,9 @@
 //	POST /v1/sort    one request  {"dim":6,"faults":[3,17],"keys":[...]}
 //	POST /v1/batch   {"requests":[...]} — per-request error isolation
 //	GET  /metrics    Prometheus text-format exposition of every metric
-//	GET  /v1/metrics engine counters, process memory stats, and the
-//	                 metrics registry snapshot as JSON
+//	GET  /v1/metrics shard-summed engine counters, the router's cluster
+//	                 section (per-shard split), process memory stats,
+//	                 and the metrics registry snapshot as JSON
 //	GET  /v1/trace   Chrome trace-event JSON of the most recent machine
 //	                 events (?last=N trims; load in ui.perfetto.dev)
 //	GET  /debug/pprof/  live profiling (heap, allocs, goroutine, profile)
@@ -107,6 +110,7 @@ import (
 	"time"
 
 	"hypersort"
+	"hypersort/internal/cluster"
 	"hypersort/internal/engine"
 	"hypersort/internal/machine"
 	"hypersort/internal/obs"
@@ -125,10 +129,10 @@ func main() {
 		maxBatch    = flag.Int("max-batch", 0, "max sort requests fused into one machine run (0 = default)")
 		maxLinger   = flag.Duration("max-linger", 0, "how long the dispatcher holds a partial batch open for stragglers (0 = default)")
 		admission   = flag.Int("admission-queue", 0, "queued sorts allowed per configuration before 503s (0 = default)")
-		shards      = flag.Int("shards", 0, "engine shards behind the consistent-hash router (0 = classic single engine)")
+		shards      = flag.Int("shards", 0, "engine shards behind the consistent-hash router (0 = 1 shard)")
 		clusterMode = flag.String("cluster-mode", "", "multi-process role: \"shard\" serves one engine over the binary wire protocol, \"proxy\" fronts -shard-addrs over HTTP (\"\" = in-process)")
 		shardAddrs  = flag.String("shard-addrs", "", "comma-separated shard process addresses for -cluster-mode=proxy")
-		replicas    = flag.Int("replicas", -1, "replica shards a hot plan key may spill to (-1 = default 1, 0 = spill off; needs -shards)")
+		replicas    = flag.Int("replicas", -1, "replica shards a hot plan key may spill to (-1 = default 1, 0 = spill off; clamped to shards-1)")
 		spillHW     = flag.Int("spill-high-water", 0, "in-flight requests on a home shard before spilling to replicas (0 = default)")
 		shedLimit   = flag.Int("shed-limit", 0, "in-flight requests per shard before the router sheds with 503 (0 = default)")
 		mode        = flag.String("mode", "auto", "execution substrate: sim, direct, or auto")
@@ -157,6 +161,10 @@ func main() {
 		fatal(err)
 	}
 	ecfg := hypersort.EngineConfig{
+		Shards:          *shards,
+		Replicas:        *replicas,
+		SpillHighWater:  *spillHW,
+		ShedLimit:       *shedLimit,
 		PoolSize:        *pool,
 		BatchWorkers:    *workers,
 		DisableBatching: *noBatching,
@@ -190,52 +198,19 @@ func main() {
 		return
 	}
 
-	// The backend behind the HTTP handler set: one engine, the
-	// in-process sharded cluster (-shards), or the multi-process front
-	// proxy (-cluster-mode=proxy). The handler set is identical in all
-	// three (see the backend interface in handlers.go).
-	var be backend
-	var closeBackend func()
+	// The engine behind the HTTP handler set: in-process shards, or the
+	// shard processes named by -shard-addrs (-cluster-mode=proxy).
+	var eng *hypersort.Engine
 	if *clusterMode == "proxy" {
 		addrs := splitAddrs(*shardAddrs)
 		if len(addrs) == 0 {
 			fatal(errors.New("-cluster-mode=proxy requires -shard-addrs"))
 		}
-		cl := hypersort.NewRemoteCluster(hypersort.ClusterConfig{
-			Replicas:       *replicas,
-			SpillHighWater: *spillHW,
-			ShedLimit:      *shedLimit,
-			BatchWorkers:   *workers,
-			MaxBatch:       *maxBatch,
-			AdmissionQueue: *admission,
-		}, addrs)
-		be, closeBackend = cl, cl.Close
-	} else if *shards > 0 {
-		cl := hypersort.NewCluster(hypersort.ClusterConfig{
-			Shards:          *shards,
-			Replicas:        *replicas,
-			SpillHighWater:  *spillHW,
-			ShedLimit:       *shedLimit,
-			PoolSize:        ecfg.PoolSize,
-			BatchWorkers:    ecfg.BatchWorkers,
-			Trace:           ecfg.Trace,
-			DisableBatching: ecfg.DisableBatching,
-			MaxBatch:        ecfg.MaxBatch,
-			MaxLinger:       ecfg.MaxLinger,
-			AdmissionQueue:  ecfg.AdmissionQueue,
-			Mode:            ecfg.Mode,
-			OracleSample:    ecfg.OracleSample,
-		})
-		be, closeBackend = cl, cl.Close
+		eng = hypersort.NewRemoteEngine(ecfg, addrs)
 	} else {
-		eng := hypersort.NewEngine(ecfg)
-		be, closeBackend = eng, eng.Close
+		eng = hypersort.NewEngine(ecfg)
 	}
 	if *demo {
-		if *shards > 0 {
-			fatal(errors.New("-demo measures the single-engine amortization story; drop -shards"))
-		}
-		eng := be.(*hypersort.Engine)
 		defer eng.Close()
 		runDemo(eng, *requests, *m, *seed)
 		return
@@ -244,15 +219,15 @@ func main() {
 	// Graceful shutdown: SIGINT/SIGTERM stops accepting, drains in-flight
 	// requests, then retires the engine's pooled worker goroutines — the
 	// teardown half of the persistent-worker substrate.
-	srv := &http.Server{Handler: newMux(be, ring, *chaos, routePolicy)}
+	srv := &http.Server{Handler: newMux(eng, ring, *chaos, routePolicy)}
 	lis, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatal(err)
 	}
 	done := make(chan os.Signal, 1)
 	signal.Notify(done, os.Interrupt, syscall.SIGTERM)
-	fmt.Printf("serve: listening on %s (cluster-mode=%q shards=%d pool=%d workers=%d batching=%v mode=%s routing=%s trace-buf=%d)\n", lis.Addr(), *clusterMode, *shards, *pool, *workers, !*noBatching, execMode, routePolicy, *traceBuf)
-	if err := serveUntil(srv, lis, done, 10*time.Second, closeBackend); err != nil {
+	fmt.Printf("serve: listening on %s (cluster-mode=%q shards=%d pool=%d workers=%d batching=%v mode=%s routing=%s trace-buf=%d)\n", lis.Addr(), *clusterMode, eng.NumShards(), *pool, *workers, !*noBatching, execMode, routePolicy, *traceBuf)
+	if err := serveUntil(srv, lis, done, 10*time.Second, eng.Close); err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)
 		os.Exit(1)
 	}
@@ -286,27 +261,30 @@ func serveUntil(srv *http.Server, lis net.Listener, sig <-chan os.Signal, drain 
 	return nil
 }
 
-// runShard serves one engine over the binary wire protocol — the
-// -cluster-mode=shard role. The engine flags mean exactly what they
-// mean in single-engine HTTP mode; only the front door changes. The
+// runShard serves one engine shard over the binary wire protocol — the
+// -cluster-mode=shard role. It is the same cluster.NewLocalShard engine
+// every in-process shard runs, so the engine flags mean exactly what
+// they mean in HTTP mode; only the front door changes. The
 // listen line prints the RESOLVED address so orchestration (and the CI
 // smoke leg) can start shards on ":0" and scrape the ports.
 func runShard(addr string, ecfg hypersort.EngineConfig) error {
-	eng := engine.NewOpts(ecfg.PoolSize, ecfg.BatchWorkers, engine.BatchOptions{
-		Disabled:   ecfg.DisableBatching,
-		MaxBatch:   ecfg.MaxBatch,
-		MaxLinger:  ecfg.MaxLinger,
-		QueueDepth: ecfg.AdmissionQueue,
+	shard := cluster.NewLocalShard(cluster.Options{
+		PoolSize: ecfg.PoolSize,
+		Workers:  ecfg.BatchWorkers,
+		Batch: engine.BatchOptions{
+			Disabled:   ecfg.DisableBatching,
+			MaxBatch:   ecfg.MaxBatch,
+			MaxLinger:  ecfg.MaxLinger,
+			QueueDepth: ecfg.AdmissionQueue,
+		},
+		Mode:         ecfg.Mode,
+		OracleSample: ecfg.OracleSample,
+		Trace:        machine.TraceFunc(ecfg.Trace),
 	})
-	eng.SetMode(ecfg.Mode)
-	eng.SetOracleSample(ecfg.OracleSample)
-	if ecfg.Trace != nil {
-		eng.SetTrace(machine.TraceFunc(ecfg.Trace))
-	}
-	eng.Instrument(obs.Default())
+	shard.Instrument(obs.Default())
 	queueWait := obs.Default().Histogram("hypersort_engine_queue_wait_ns",
 		"Nanoseconds a request waited for execution capacity (lane queue or machine-pool acquire).")
-	srv := transport.NewServer(eng, transport.ServerOptions{QueueWait: queueWait})
+	srv := transport.NewServer(shard, transport.ServerOptions{QueueWait: queueWait})
 
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -330,7 +308,7 @@ func runShard(addr string, ecfg hypersort.EngineConfig) error {
 	if err := <-shutdownErr; err != nil {
 		fmt.Fprintln(os.Stderr, "serve: shard drain:", err)
 	}
-	eng.Close()
+	shard.Close()
 	fmt.Println("serve: shard drained, engine closed")
 	return nil
 }
@@ -401,7 +379,7 @@ func runDemo(eng *hypersort.Engine, requests, m int, seed uint64) {
 		float64(after.Mallocs-before.Mallocs)/float64(requests),
 		float64(after.TotalAlloc-before.TotalAlloc)/float64(requests)/1024)
 	fmt.Printf("speedup: %.2fx\n", fresh.Seconds()/warm.Seconds())
-	mtr := eng.Metrics()
+	mtr := eng.Metrics().Engine
 	fmt.Printf("engine metrics: %d requests, %d plan searches (%d cache hits), %d machines built + %d cloned\n",
 		mtr.Requests, mtr.PlanMisses, mtr.PlanHits, mtr.MachinesBuilt, mtr.MachinesCloned)
 	agg := hypersort.SumStats(results)

@@ -75,6 +75,45 @@ func TestServeSortEndpoint(t *testing.T) {
 	}
 }
 
+// TestServeBatchSkipsRejectedEntries pins /v1/batch's per-entry
+// isolation at the engine boundary: entries that fail conversion (an
+// unknown op, an unknown fault model) answer their error in place and
+// are never dispatched, so the engine counts only the valid entries and
+// plans nothing for the rejects.
+func TestServeBatchSkipsRejectedEntries(t *testing.T) {
+	srv, eng := newTestServer(t)
+	body := `{"requests":[
+		{"dim":3,"op":"bogus","keys":[3,1,2]},
+		{"dim":3,"faults":[5],"keys":[9,2,7,4]},
+		{"dim":3,"model":"bogus","keys":[3,1,2]}]}`
+	resp, err := http.Post(srv.URL+"/v1/batch", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	var out struct {
+		Results []wireResult `json:"results"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Results) != 3 {
+		t.Fatalf("got %d results, want 3", len(out.Results))
+	}
+	if out.Results[0].Err == "" || out.Results[2].Err == "" {
+		t.Fatalf("rejected entries answered without errors: %+v", out.Results)
+	}
+	if got := out.Results[1]; got.Err != "" || len(got.Keys) != 4 || got.Keys[0] != 2 || got.Keys[3] != 9 {
+		t.Fatalf("valid entry = %+v, want keys [2 4 7 9]", got)
+	}
+	if m := eng.Metrics().Engine; m.Requests != 1 || m.PlanMisses != 1 {
+		t.Fatalf("engine saw Requests=%d PlanMisses=%d, want 1 and 1 (only the valid entry)", m.Requests, m.PlanMisses)
+	}
+}
+
 // TestServeResponseHygiene pins the error contract of every endpoint:
 // JSON bodies with correct status codes and Content-Type on malformed
 // input, wrong methods, and bad query parameters.
@@ -354,7 +393,7 @@ func TestServeBatchedSortsCoalesce(t *testing.T) {
 			t.Fatalf("request %d: %v", i, err)
 		}
 	}
-	mtr := eng.Metrics()
+	mtr := eng.Metrics().Engine
 	if mtr.FusedRequests <= mtr.FusedBatches {
 		t.Fatalf("no coalescing over HTTP: %d fused requests in %d batches", mtr.FusedRequests, mtr.FusedBatches)
 	}
@@ -412,7 +451,7 @@ func TestServeChaosInjectRecovers(t *testing.T) {
 			t.Fatalf("recovered output unsorted at %d", i)
 		}
 	}
-	if m := eng.Metrics(); m.Replans < 1 {
+	if m := eng.Metrics().Engine; m.Replans < 1 {
 		t.Fatalf("Replans = %d, want >= 1", m.Replans)
 	}
 
@@ -458,11 +497,11 @@ func TestServeChaosInjectValidation(t *testing.T) {
 		body   string
 		status int
 	}{
-		{`{"dim":4}`, http.StatusBadRequest},                                  // no casualty
-		{`{"dim":4,"kill_node":1,"kill_link":[0,1]}`, http.StatusBadRequest},  // both casualties
-		{`{"dim":4,"model":"bogus","kill_node":1}`, http.StatusBadRequest},    // bad enum
-		{`{"dim":40,"kill_node":1}`, http.StatusUnprocessableEntity},          // dimension out of range
-		{`{"dim":3,"kill_link":[0,3]}`, http.StatusUnprocessableEntity},       // not a hypercube edge
+		{`{"dim":4}`, http.StatusBadRequest},                                     // no casualty
+		{`{"dim":4,"kill_node":1,"kill_link":[0,1]}`, http.StatusBadRequest},     // both casualties
+		{`{"dim":4,"model":"bogus","kill_node":1}`, http.StatusBadRequest},       // bad enum
+		{`{"dim":40,"kill_node":1}`, http.StatusUnprocessableEntity},             // dimension out of range
+		{`{"dim":3,"kill_link":[0,3]}`, http.StatusUnprocessableEntity},          // not a hypercube edge
 		{`{"dim":3,"faults":[2],"kill_node":2}`, http.StatusUnprocessableEntity}, // victim already faulty
 	}
 	for i, c := range cases {

@@ -104,7 +104,7 @@ func TestServeDirectMode(t *testing.T) {
 	if res.Stats.Comparisons == 0 || res.Stats.Makespan == 0 {
 		t.Fatalf("predicted stats missing: %+v", res.Stats)
 	}
-	if m := eng.Metrics(); m.DirectRequests != 1 || m.MachinesBuilt != 0 {
+	if m := eng.Metrics().Engine; m.DirectRequests != 1 || m.MachinesBuilt != 0 {
 		t.Fatalf("DirectRequests=%d MachinesBuilt=%d, want 1 and 0", m.DirectRequests, m.MachinesBuilt)
 	}
 
@@ -165,7 +165,7 @@ func TestServeAutoModeChaosFallback(t *testing.T) {
 	if !res.Direct {
 		t.Fatal("auto-mode sort without tracing not served direct")
 	}
-	if m := eng.Metrics(); m.DirectRequests != 1 {
+	if m := eng.Metrics().Engine; m.DirectRequests != 1 {
 		t.Fatalf("pre-arm DirectRequests = %d, want 1", m.DirectRequests)
 	}
 
@@ -189,7 +189,7 @@ func TestServeAutoModeChaosFallback(t *testing.T) {
 	if res.Direct {
 		t.Fatal("sort served direct while chaos injections were armed")
 	}
-	if m := eng.Metrics(); m.DirectRequests != 1 {
+	if m := eng.Metrics().Engine; m.DirectRequests != 1 {
 		t.Fatalf("armed DirectRequests = %d, want 1 (simulator must serve armed configs)", m.DirectRequests)
 	}
 
@@ -210,7 +210,7 @@ func TestServeAutoModeChaosFallback(t *testing.T) {
 	if !res.Direct {
 		t.Fatal("direct service did not resume after disarm")
 	}
-	if m := eng.Metrics(); m.DirectRequests != 2 {
+	if m := eng.Metrics().Engine; m.DirectRequests != 2 {
 		t.Fatalf("post-disarm DirectRequests = %d, want 2", m.DirectRequests)
 	}
 }
@@ -227,7 +227,7 @@ func TestServeSimModeNeverDirect(t *testing.T) {
 	if res.Direct {
 		t.Fatal("sim-mode sort carried the direct flag")
 	}
-	if m := eng.Metrics(); m.DirectRequests != 0 || m.MachinesBuilt == 0 {
+	if m := eng.Metrics().Engine; m.DirectRequests != 0 || m.MachinesBuilt == 0 {
 		t.Fatalf("DirectRequests=%d MachinesBuilt=%d, want 0 and >0", m.DirectRequests, m.MachinesBuilt)
 	}
 }
@@ -251,7 +251,7 @@ func TestServeAutoModeTracedServesSim(t *testing.T) {
 	if res.Direct {
 		t.Fatal("traced auto-mode sort served direct")
 	}
-	if m := eng.Metrics(); m.DirectRequests != 0 {
+	if m := eng.Metrics().Engine; m.DirectRequests != 0 {
 		t.Fatalf("DirectRequests = %d, want 0", m.DirectRequests)
 	}
 }

@@ -4,7 +4,6 @@ package main
 // proxy-mode Retry-After hint.
 
 import (
-	"context"
 	"io"
 	"net"
 	"net/http"
@@ -13,38 +12,25 @@ import (
 	"testing"
 	"time"
 
-	"hypersort"
 	"hypersort/internal/obs"
 )
 
-// hintingBackend satisfies the handler backend interface plus
-// queueWaitHinter — the shape of the multi-process proxy, whose shards
-// report queue wait over the wire while the local histogram stays empty.
-type hintingBackend struct{ hint int64 }
-
-func (b *hintingBackend) SortBatchContext(ctx context.Context, reqs []hypersort.Request) []hypersort.Result {
-	return make([]hypersort.Result, len(reqs))
-}
-func (b *hintingBackend) InjectFault(hypersort.Config, ...hypersort.Injection) error { return nil }
-func (b *hintingBackend) DisarmFaults(hypersort.Config) error                        { return nil }
-func (b *hintingBackend) QueueWaitHint() int64                                       { return b.hint }
-
 // TestRetryAfterConsultsProxyHint pins the proxy-mode half of the
-// Retry-After contract: when the backend reports a remote queue wait
+// Retry-After contract: when the engine reports a remote queue wait
 // worse than the local histogram's p50, the hint follows the remote
 // figure (ceiled to whole seconds); when the remote figure is smaller,
 // the local histogram still wins.
 func TestRetryAfterConsultsProxyHint(t *testing.T) {
 	empty := &obs.Histogram{}
-	if got := retryAfterSeconds(empty, &hintingBackend{hint: int64(2500 * time.Millisecond)}); got != 3 {
+	if got := retryAfterSeconds(empty, int64(2500*time.Millisecond)); got != 3 {
 		t.Fatalf("remote hint 2.5s over empty histogram: Retry-After = %d, want 3", got)
 	}
-	if got := retryAfterSeconds(empty, &hintingBackend{hint: 0}); got != 1 {
+	if got := retryAfterSeconds(empty, 0); got != 1 {
 		t.Fatalf("zero hint must keep the 1s floor, got %d", got)
 	}
 	local := &obs.Histogram{}
 	local.Observe(int64(1 << 36)) // ~69s local p50, capped at 30
-	if got := retryAfterSeconds(local, &hintingBackend{hint: int64(time.Second)}); got != 30 {
+	if got := retryAfterSeconds(local, int64(time.Second)); got != 30 {
 		t.Fatalf("worse local histogram must win over a mild hint, got %d", got)
 	}
 }

@@ -5,15 +5,41 @@ import (
 	"fmt"
 	"time"
 
+	"hypersort/internal/cluster"
 	"hypersort/internal/engine"
 	"hypersort/internal/machine"
 	"hypersort/internal/obs"
+	"hypersort/internal/transport"
 )
 
-// EngineConfig tunes an Engine's resource bounds and its continuous-
-// batching dispatcher. The zero value selects sensible defaults
-// (GOMAXPROCS for both resource bounds, batching on).
+// EngineConfig tunes an Engine: its shard topology and routing
+// thresholds, and the per-shard resource bounds and continuous-batching
+// dispatcher. The zero value selects sensible defaults (one shard,
+// GOMAXPROCS for both resource bounds, batching on).
 type EngineConfig struct {
+	// Shards is the number of independent engine shards behind the
+	// consistent-hash router, each with its own plan cache, machine
+	// pools, and dispatch lanes. Values < 1 mean 1: a single-engine
+	// deployment is a cluster of one.
+	Shards int
+	// Replicas is how many replica shards a hot plan key may spill to
+	// when its home shard crosses SpillHighWater. 0 disables spill;
+	// values < 0 select the default (1). Clamped to Shards-1.
+	Replicas int
+	// SpillHighWater is the in-flight request count on a key's home
+	// shard above which the router considers a replica. Values < 1
+	// select the default (2x the fused batch depth).
+	SpillHighWater int
+	// ShedLimit is the per-shard in-flight count at which a shard stops
+	// accepting routed traffic; when the home shard and every replica
+	// reach it the request is refused with ErrClusterSaturated (which
+	// wraps ErrAdmissionRejected — the same 503 contract). Values < 1
+	// select the default (the admission queue depth, raised above
+	// SpillHighWater).
+	ShedLimit int
+
+	// The remaining fields apply to every shard independently.
+
 	// PoolSize bounds the simulated machines kept per configuration.
 	// Each concurrent request on one configuration needs its own
 	// machine; beyond PoolSize in-flight requests for a configuration,
@@ -115,6 +141,14 @@ type ProcessorDiedError = machine.ProcessorDiedError
 // LinkDiedError is ProcessorDiedError's link-casualty counterpart.
 type LinkDiedError = machine.LinkDiedError
 
+// ErrClusterSaturated is found (via errors.Is) in a Result.Err or Sort
+// error when the engine's router shed the request: its home shard and
+// every replica candidate were at the shed limit, so the request was
+// refused before touching any queue. It always wraps
+// ErrAdmissionRejected, so existing backpressure handling (503 +
+// Retry-After in cmd/serve) applies unchanged.
+var ErrClusterSaturated = cluster.ErrSaturated
+
 // Engine is a concurrent, reusable front end to the fault-tolerant
 // sorter, built for serving many requests against a recurring set of
 // configurations. Unlike Sorter it is safe for arbitrary concurrent use:
@@ -127,12 +161,22 @@ type LinkDiedError = machine.LinkDiedError
 // lease and dispatch overhead across the queue instead of paying it per
 // request — see EngineConfig's MaxBatch/MaxLinger/AdmissionQueue).
 //
+// Behind the facade sit EngineConfig.Shards independent engine shards
+// and a consistent-hash router — the paper's working-subcube partition
+// applied to the serving stack itself, with the single engine as its
+// one-shard case. Same-configuration traffic keeps landing on (and
+// fusing within) one shard; a hot configuration spills to replica
+// shards when its home saturates; and when every eligible shard is
+// saturated the router sheds the request with ErrClusterSaturated
+// before it touches a queue. Direct-eligible sorts run inline on the
+// caller's goroutine once the router admits them.
+//
 // Limitations: Config.Trace is rejected — a per-run event hook cannot be
 // cached or pooled; use a dedicated Sorter to trace a run. Plan-search
 // failures (inseparable fault sets) are cached like successes, so
 // retrying a doomed configuration is cheap.
 type Engine struct {
-	eng *engine.Engine
+	c *cluster.Cluster
 }
 
 // NewEngine builds an engine. It performs no planning up front; plans
@@ -140,23 +184,62 @@ type Engine struct {
 //
 // Every engine registers its observability bundles in the process-wide
 // metrics registry (exposed by cmd/serve on GET /metrics): request
-// latency, plan-cache and pool counters, per-run machine aggregates, and
-// per-phase kernel breakdowns. The bundles are shared instruments — two
-// engines in one process accumulate into the same series.
+// latency, plan-cache and pool counters, per-run machine aggregates,
+// per-phase kernel breakdowns, and the router's spill/shed counters and
+// per-shard series. The bundles are shared instruments — two engines in
+// one process accumulate into the same series.
 func NewEngine(cfg EngineConfig) *Engine {
-	eng := engine.NewOpts(cfg.PoolSize, cfg.BatchWorkers, engine.BatchOptions{
-		Disabled:   cfg.DisableBatching,
-		MaxBatch:   cfg.MaxBatch,
-		MaxLinger:  cfg.MaxLinger,
-		QueueDepth: cfg.AdmissionQueue,
-	})
-	eng.Instrument(obs.Default())
-	if cfg.Trace != nil {
-		eng.SetTrace(machine.TraceFunc(cfg.Trace))
+	opts := cfg.routerOptions()
+	opts.Shards = max(cfg.Shards, 1)
+	opts.PoolSize = cfg.PoolSize
+	opts.Batch.Disabled = cfg.DisableBatching
+	opts.Batch.MaxLinger = cfg.MaxLinger
+	opts.Mode = cfg.Mode
+	opts.OracleSample = cfg.OracleSample
+	opts.Trace = machine.TraceFunc(cfg.Trace)
+	return newEngine(cluster.New(opts))
+}
+
+// NewRemoteEngine builds an engine whose shards are separate PROCESSES
+// (started with `serve -cluster-mode=shard`), one per address, reached
+// over the pipelined binary wire protocol. Routing is identical to the
+// in-process engine — the consistent-hash ring hashes shard indices,
+// so a proxy fleet sharing one ordered address list routes every key
+// the same way — with two multi-process additions: spill and shed
+// consult the live per-shard in-flight gauge fed back on every
+// response, and a dead shard (connection refused, broken mid-call,
+// timed out) is marked unhealthy, its keys re-routed to ring
+// successors, and reprobed until it returns. Only the router fields of
+// cfg and BatchWorkers apply (MaxBatch and AdmissionQueue seed the
+// spill and shed defaults); Shards is the address count, and each shard
+// process configures its own engine from its own flags.
+func NewRemoteEngine(cfg EngineConfig, addrs []string) *Engine {
+	backends := make([]cluster.Backend, len(addrs))
+	for i, addr := range addrs {
+		backends[i] = cluster.NewRemoteShard(transport.NewClient(addr, transport.ClientOptions{}))
 	}
-	eng.SetMode(cfg.Mode)
-	eng.SetOracleSample(cfg.OracleSample)
-	return &Engine{eng: eng}
+	return newEngine(cluster.NewWithBackends(cfg.routerOptions(), backends))
+}
+
+// routerOptions carries cfg's routing thresholds, batch concurrency,
+// and the two batching knobs the spill and shed defaults derive from.
+func (cfg EngineConfig) routerOptions() cluster.Options {
+	return cluster.Options{
+		Replicas:       cfg.Replicas,
+		SpillHighWater: cfg.SpillHighWater,
+		ShedLimit:      cfg.ShedLimit,
+		Workers:        cfg.BatchWorkers,
+		Batch: engine.BatchOptions{
+			MaxBatch:   cfg.MaxBatch,
+			QueueDepth: cfg.AdmissionQueue,
+		},
+	}
+}
+
+// newEngine instruments c in the process-wide registry and wraps it.
+func newEngine(c *cluster.Cluster) *Engine {
+	c.Instrument(obs.Default())
+	return &Engine{c: c}
 }
 
 // Op selects what a batch Request computes.
@@ -202,49 +285,65 @@ type Result struct {
 	Err    error
 }
 
-// Close shuts down the engine's dispatch lanes (queued requests are
+// Close shuts down every shard's dispatch lanes (queued requests are
 // drained and served first) and retires the persistent worker goroutines
-// of its pooled machines. Call it when done serving — typically on
-// server shutdown, after in-flight requests have drained. The engine
-// remains usable afterwards (requests fall back to the unbatched pool
-// path and machines respawn workers on demand), so Close is a resource
-// release, not a poison pill; it is idempotent and safe to defer at
-// construction time.
-func (e *Engine) Close() { e.eng.Close() }
+// of its pooled machines; a remote engine closes its transport clients
+// (the shard processes are not its to stop). Call it when done serving —
+// typically on server shutdown, after in-flight requests have drained.
+// The engine remains usable afterwards (requests fall back to the
+// unbatched pool path and machines respawn workers on demand), so Close
+// is a resource release, not a poison pill; it is idempotent and safe to
+// defer at construction time.
+func (e *Engine) Close() { e.c.Close() }
 
-// EngineMetrics snapshots an engine's lifetime counters: requests
-// served, plan-cache hits and misses, machines constructed (full builds
-// versus pool-clone fast-paths), and the continuous-batching
-// dispatcher's coalescing, rejection, and cancellation counts.
+// EngineMetrics snapshots one engine shard's lifetime counters (or
+// their sum across shards): requests served, plan-cache hits and
+// misses, machines constructed (full builds versus pool-clone
+// fast-paths), and the continuous-batching dispatcher's coalescing,
+// rejection, and cancellation counts.
 type EngineMetrics = engine.Metrics
 
-// Metrics returns a snapshot of the engine's lifetime counters.
-func (e *Engine) Metrics() EngineMetrics { return e.eng.Metrics() }
+// ClusterMetrics snapshots an engine's lifetime counters: the router's
+// request/spill/shed/reroute totals, the shard-summed EngineMetrics in
+// its Engine field, and each shard's own EngineMetrics.
+type ClusterMetrics = cluster.Metrics
 
-// Partition returns the partition decisions for cfg from the engine's
-// plan cache: the first call for a configuration runs the
-// cutting-dimension search, every later call is a lookup. It is the
-// cheap way to inspect (or pre-warm) a configuration without building a
-// Sorter.
-func (e *Engine) Partition(cfg Config) (Partition, error) {
+// Metrics returns a snapshot of the engine's lifetime counters.
+func (e *Engine) Metrics() ClusterMetrics { return e.c.Metrics() }
+
+// NumShards returns the number of engine shards behind the router.
+func (e *Engine) NumShards() int { return e.c.NumShards() }
+
+// HealthyShards counts shards currently reachable (always NumShards for
+// in-process engines).
+func (e *Engine) HealthyShards() int { return e.c.HealthyShards() }
+
+// QueueWaitHint is the worst median queue wait any remote shard
+// reported over the wire, in nanoseconds — the Retry-After signal for
+// proxy mode. Always 0 for in-process engines (their queue wait is
+// observed in the local histogram instead).
+func (e *Engine) QueueWaitHint() int64 { return e.c.QueueWaitHint() }
+
+// ShardFor returns the shard ids eligible to serve cfg: its home shard
+// first, then its replica candidates in ring order. Deterministic for a
+// given engine shape — useful for tests and capacity reasoning.
+func (e *Engine) ShardFor(cfg Config) ([]int, error) {
 	ecfg, err := engineConfig(cfg)
 	if err != nil {
-		return Partition{}, err
+		return nil, err
 	}
-	plan, err := e.eng.Plan(ecfg)
-	if err != nil {
-		return Partition{}, err
-	}
-	return partitionInfo(plan), nil
+	return e.c.Candidates(ecfg), nil
 }
 
-// InjectFault arms live fault injections against cfg's machine pool: the
-// scheduled casualties strike runs of that configuration mid-kernel. The
-// engine then recovers on its own — online diagnosis converges on the
-// new fault set, the request replans through the plan cache, and the
-// keys are redistributed over the surviving processors — so a Sort
-// overlapping the casualty still returns the correctly sorted keys
-// (or ErrUnrecoverable when the degraded machine admits no plan).
+// InjectFault arms live fault injections against cfg's machine pool on
+// every shard — the router may serve the configuration from its home
+// shard or, under load, any replica, so a drill must cover them all.
+// The scheduled casualties strike runs of that configuration
+// mid-kernel. The engine then recovers on its own — online diagnosis
+// converges on the new fault set, the request replans through the plan
+// cache, and the keys are redistributed over the surviving processors —
+// so a Sort overlapping the casualty still returns the correctly sorted
+// keys (or ErrUnrecoverable when the degraded machine admits no plan).
 // Recovery activity is visible in Metrics and on /metrics
 // (hypersort_engine_replans_total, hypersort_engine_recovery_latency_ns,
 // ...). Chaos drills and tests are the intended callers.
@@ -253,18 +352,18 @@ func (e *Engine) InjectFault(cfg Config, injs ...Injection) error {
 	if err != nil {
 		return err
 	}
-	return e.eng.InjectFault(ecfg, injs...)
+	return e.c.InjectFault(ecfg, injs...)
 }
 
-// DisarmFaults clears cfg's injection schedule, fired casualties
-// included: the pool serves the configuration at full health again. Call
-// only with no request in flight on the configuration.
+// DisarmFaults clears cfg's injection schedule on every shard, fired
+// casualties included: the pools serve the configuration at full health
+// again. Call only with no request in flight on the configuration.
 func (e *Engine) DisarmFaults(cfg Config) error {
 	ecfg, err := engineConfig(cfg)
 	if err != nil {
 		return err
 	}
-	return e.eng.DisarmFaults(ecfg)
+	return e.c.DisarmFaults(ecfg)
 }
 
 // Sort sorts keys ascending on the configured faulty hypercube, reusing
@@ -288,19 +387,19 @@ func (e *Engine) SortContext(ctx context.Context, cfg Config, keys []Key) ([]Key
 
 // KthSmallest returns the k-th smallest key (1-based) via the engine.
 func (e *Engine) KthSmallest(cfg Config, keys []Key, k int) (Key, Stats, error) {
-	res := e.do(Request{Config: cfg, Op: OpKthSmallest, Keys: keys, K: k})
+	res := e.doCtx(context.Background(), Request{Config: cfg, Op: OpKthSmallest, Keys: keys, K: k})
 	return res.Value, res.Stats, res.Err
 }
 
 // Median returns the lower median of keys via the engine.
 func (e *Engine) Median(cfg Config, keys []Key) (Key, Stats, error) {
-	res := e.do(Request{Config: cfg, Op: OpMedian, Keys: keys})
+	res := e.doCtx(context.Background(), Request{Config: cfg, Op: OpMedian, Keys: keys})
 	return res.Value, res.Stats, res.Err
 }
 
 // TopK returns the k largest keys in ascending order via the engine.
 func (e *Engine) TopK(cfg Config, keys []Key, k int) ([]Key, Stats, error) {
-	res := e.do(Request{Config: cfg, Op: OpTopK, Keys: keys, K: k})
+	res := e.doCtx(context.Background(), Request{Config: cfg, Op: OpTopK, Keys: keys, K: k})
 	return res.Keys, res.Stats, res.Err
 }
 
@@ -327,7 +426,7 @@ func (e *Engine) SortBatchContext(ctx context.Context, reqs []Request) []Result 
 		}
 		inner[i] = engine.Request{Config: ecfg, Op: r.Op, Keys: r.Keys, K: r.K}
 	}
-	innerRes := e.eng.BatchContext(ctx, inner)
+	innerRes := e.c.BatchContext(ctx, inner)
 	out := make([]Result, len(reqs))
 	for i := range reqs {
 		if errs[i] != nil {
@@ -345,18 +444,13 @@ func (e *Engine) SortBatchContext(ctx context.Context, reqs []Request) []Result 
 	return out
 }
 
-// do runs one request through the engine.
-func (e *Engine) do(req Request) Result {
-	return e.doCtx(context.Background(), req)
-}
-
 // doCtx runs one request through the engine under ctx.
 func (e *Engine) doCtx(ctx context.Context, req Request) Result {
 	ecfg, err := engineConfig(req.Config)
 	if err != nil {
 		return Result{Err: err}
 	}
-	res := e.eng.DoContext(ctx, engine.Request{Config: ecfg, Op: req.Op, Keys: req.Keys, K: req.K})
+	res := e.c.DoContext(ctx, engine.Request{Config: ecfg, Op: req.Op, Keys: req.Keys, K: req.K})
 	return Result{Keys: res.Keys, Value: res.Value, Stats: statsOf(res.Res), Direct: res.Direct, Err: res.Err}
 }
 

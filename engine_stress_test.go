@@ -93,7 +93,7 @@ func TestEngineStress(t *testing.T) {
 		t.Error(err)
 	}
 
-	m := eng.Metrics()
+	m := eng.Metrics().Engine
 	if m.Requests != workers*iters {
 		t.Errorf("requests = %d, want %d", m.Requests, workers*iters)
 	}

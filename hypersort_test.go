@@ -307,7 +307,7 @@ func TestEngineFacadeSortAndConcurrency(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	m := eng.Metrics()
+	m := eng.Metrics().Engine
 	if m.PlanMisses != 1 {
 		t.Errorf("plan searched %d times for one configuration", m.PlanMisses)
 	}

@@ -10,20 +10,16 @@ import (
 	"context"
 
 	"hypersort/internal/engine"
-	"hypersort/internal/machine"
 	"hypersort/internal/obs"
+	"hypersort/internal/transport"
 )
 
-// Backend is one shard as the router sees it: the engine request
-// surface plus the health and load signals routing decisions consume.
+// Backend is one shard as the router sees it: the request surface a
+// shard server also serves (transport.Backend — Do, InjectFault,
+// DisarmFaults, Metrics) plus the health and load signals routing
+// decisions consume.
 type Backend interface {
-	// Do executes one request. Implementations take the direct
-	// fast path when they have one; the router has already admitted
-	// the request.
-	Do(ctx context.Context, req engine.Request) engine.Result
-	InjectFault(cfg engine.Config, injs ...machine.Injection) error
-	DisarmFaults(cfg engine.Config) error
-	Metrics() engine.Metrics
+	transport.Backend
 	// Healthy reports whether the shard is currently reachable.
 	// In-process shards are always healthy; remote shards flip on
 	// transport errors and back on successful reprobe.
@@ -43,30 +39,40 @@ type Backend interface {
 	Close()
 }
 
-// localShard adapts one in-process engine to the Backend interface.
+// localShard adapts one in-process engine to the Backend interface;
+// InjectFault, DisarmFaults, Metrics, Instrument, and Close are the
+// engine's own.
 type localShard struct {
-	eng *engine.Engine
+	*engine.Engine
+}
+
+// NewLocalShard builds one in-process engine shard from opts' per-shard
+// engine fields (PoolSize, Workers, Batch, Mode, OracleSample, Trace).
+// New builds every shard of an in-process cluster with it, and a shard
+// process serves exactly one over the wire, so both deployment shapes
+// run identical engines.
+func NewLocalShard(opts Options) Backend {
+	e := engine.NewOpts(opts.PoolSize, opts.Workers, opts.Batch)
+	e.SetMode(opts.Mode)
+	e.SetOracleSample(opts.OracleSample)
+	if opts.Trace != nil {
+		e.SetTrace(opts.Trace)
+	}
+	return localShard{e}
 }
 
 // Do serves direct-eligible sorts inline on the caller's goroutine —
-// the router already admitted the request, so the lane's bounded queue
-// (the only thing a lane adds to a direct batch) is redundant — and
-// hands everything else to the engine's ordinary dispatch.
-func (b *localShard) Do(ctx context.Context, req engine.Request) engine.Result {
-	if res, ok := b.eng.DoDirect(req); ok {
+// the router (or the shard server) already admitted the request, so
+// the lane's bounded queue (the only thing a lane adds to a direct
+// batch) is redundant — and hands everything else to the engine's
+// ordinary dispatch.
+func (b localShard) Do(ctx context.Context, req engine.Request) engine.Result {
+	if res, ok := b.DoDirect(req); ok {
 		return res
 	}
-	return b.eng.DoContext(ctx, req)
+	return b.DoContext(ctx, req)
 }
 
-func (b *localShard) InjectFault(cfg engine.Config, injs ...machine.Injection) error {
-	return b.eng.InjectFault(cfg, injs...)
-}
-
-func (b *localShard) DisarmFaults(cfg engine.Config) error { return b.eng.DisarmFaults(cfg) }
-func (b *localShard) Metrics() engine.Metrics              { return b.eng.Metrics() }
-func (b *localShard) Healthy() bool                        { return true }
-func (b *localShard) Load() int64                          { return -1 }
-func (b *localShard) QueueWaitNs() int64                   { return 0 }
-func (b *localShard) Instrument(r *obs.Registry)           { b.eng.Instrument(r) }
-func (b *localShard) Close()                               { b.eng.Close() }
+func (localShard) Healthy() bool      { return true }
+func (localShard) Load() int64        { return -1 }
+func (localShard) QueueWaitNs() int64 { return 0 }

@@ -214,13 +214,7 @@ func New(opts Options) *Cluster {
 	}
 	backends := make([]Backend, opts.Shards)
 	for i := range backends {
-		e := engine.NewOpts(opts.PoolSize, opts.Workers, opts.Batch)
-		e.SetMode(opts.Mode)
-		e.SetOracleSample(opts.OracleSample)
-		if opts.Trace != nil {
-			e.SetTrace(opts.Trace)
-		}
-		backends[i] = &localShard{eng: e}
+		backends[i] = NewLocalShard(opts)
 	}
 	return build(opts, backends)
 }

@@ -28,7 +28,7 @@ type sortingBackend struct {
 	gate chan struct{}
 }
 
-func (b *sortingBackend) DoContext(ctx context.Context, req engine.Request) engine.Result {
+func (b *sortingBackend) Do(ctx context.Context, req engine.Request) engine.Result {
 	if b.gate != nil {
 		select {
 		case <-b.gate:

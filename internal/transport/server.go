@@ -1,12 +1,13 @@
 package transport
 
 // The shard server: one TCP listener wrapping one request backend
-// (in production, one engine). Each connection is a pipelined stream —
-// the read loop decodes frames and dispatches requests to their own
-// goroutines, so a slow sort never blocks the requests queued behind it
-// on the same connection; responses are serialized on a per-connection
-// write lock and may interleave in any completion order, matched back
-// to callers by correlation ID.
+// (in production, the local engine shard cluster.NewLocalShard builds).
+// Each connection is a pipelined stream — the read loop decodes frames
+// and dispatches requests to their own goroutines, so a slow sort never
+// blocks the requests queued behind it on the same connection;
+// responses are serialized on a per-connection write lock and may
+// interleave in any completion order, matched back to callers by
+// correlation ID.
 
 import (
 	"bufio"
@@ -24,21 +25,16 @@ import (
 	"hypersort/internal/obs"
 )
 
-// Backend is what a shard serves: the engine's request surface. It is
-// satisfied by *engine.Engine; tests substitute slower or failing
-// fakes.
+// Backend is what a shard serves: the engine request surface every
+// serving layer shares (cluster.Backend embeds it and adds the health
+// and load signals the router consumes). Implementations take their
+// inline direct fast path inside Do when they have one; tests
+// substitute slower or failing fakes.
 type Backend interface {
-	DoContext(ctx context.Context, req engine.Request) engine.Result
+	Do(ctx context.Context, req engine.Request) engine.Result
 	InjectFault(cfg engine.Config, injs ...machine.Injection) error
 	DisarmFaults(cfg engine.Config) error
 	Metrics() engine.Metrics
-}
-
-// directBackend is the optional inline fast path: *engine.Engine serves
-// direct-eligible sorts on the caller's goroutine, skipping the lane
-// handoff exactly as the in-process cluster router does.
-type directBackend interface {
-	DoDirect(req engine.Request) (engine.Result, bool)
 }
 
 // ServerOptions configures a shard server.
@@ -55,7 +51,6 @@ type ServerOptions struct {
 // Server serves the wire protocol for one backend.
 type Server struct {
 	backend Backend
-	direct  directBackend // nil when the backend has no inline path
 	opts    ServerOptions
 
 	inflight atomic.Int64
@@ -79,7 +74,6 @@ func NewServer(backend Backend, opts ServerOptions) *Server {
 		conns:   make(map[*serverConn]struct{}),
 		done:    make(chan struct{}),
 	}
-	s.direct, _ = backend.(directBackend)
 	return s
 }
 
@@ -261,14 +255,7 @@ func (c *serverConn) handleRequest(f *Frame) {
 		ctx, cancel = context.WithDeadline(ctx, time.Unix(0, f.Deadline))
 		defer cancel()
 	}
-	var res engine.Result
-	var ok bool
-	if c.srv.direct != nil {
-		res, ok = c.srv.direct.DoDirect(f.Req)
-	}
-	if !ok {
-		res = c.srv.backend.DoContext(ctx, f.Req)
-	}
+	res := c.srv.backend.Do(ctx, f.Req)
 	c.send(func(dst []byte) []byte {
 		return AppendResult(dst, f.Corr, res, c.srv.feedback())
 	})

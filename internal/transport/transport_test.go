@@ -29,7 +29,7 @@ type fakeBackend struct {
 	block    chan struct{} // non-nil: Do waits for close or ctx
 }
 
-func (b *fakeBackend) DoContext(ctx context.Context, req engine.Request) engine.Result {
+func (b *fakeBackend) Do(ctx context.Context, req engine.Request) engine.Result {
 	if b.block != nil {
 		select {
 		case <-b.block:

@@ -106,12 +106,16 @@ func BenchmarkTransportCodec(b *testing.B) {
 // clients, then servers, then engines.
 func newRemoteBenchCluster(b *testing.B, shards int) (*cluster.Cluster, func()) {
 	b.Helper()
-	engines := make([]*engine.Engine, shards)
+	engines := make([]cluster.Backend, shards)
 	servers := make([]*transport.Server, shards)
 	backends := make([]cluster.Backend, shards)
 	for i := range backends {
-		e := engine.NewOpts(1, throughputClients, engine.BatchOptions{MaxBatch: 32, MaxLinger: 100 * time.Microsecond})
-		e.SetMode(engine.ModeDirect)
+		e := cluster.NewLocalShard(cluster.Options{
+			PoolSize: 1,
+			Workers:  throughputClients,
+			Batch:    engine.BatchOptions{MaxBatch: 32, MaxLinger: 100 * time.Microsecond},
+			Mode:     engine.ModeDirect,
+		})
 		e.Instrument(obs.NewRegistry())
 		engines[i] = e
 		srv := transport.NewServer(e, transport.ServerOptions{})
