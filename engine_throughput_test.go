@@ -36,8 +36,8 @@ const (
 
 // throughputModes are the engine configurations under comparison: the
 // fused dispatcher, the same engine with batching disabled (every
-// request takes the unbatched pool path), and the dispatcher routing
-// fused batches to the direct host-speed substrate.
+// request takes the unbatched pool path), and direct mode (every sort
+// served inline on the direct host-speed substrate).
 var throughputModes = []struct {
 	name     string
 	disabled bool
@@ -126,9 +126,6 @@ func runThroughput(b *testing.B, disabled bool, mode engine.Mode, configs []engi
 	mtr := e.Metrics()
 	if mtr.FusedBatches > 0 {
 		b.ReportMetric(float64(mtr.FusedRequests)/float64(mtr.FusedBatches), "reqs/batch")
-	}
-	if mtr.DirectBatches > 0 {
-		b.ReportMetric(float64(mtr.DirectRequests)/float64(mtr.DirectBatches), "reqs/batch")
 	}
 }
 

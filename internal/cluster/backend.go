@@ -61,15 +61,8 @@ func NewLocalShard(opts Options) Backend {
 	return localShard{e}
 }
 
-// Do serves direct-eligible sorts inline on the caller's goroutine —
-// the router (or the shard server) already admitted the request, so
-// the lane's bounded queue (the only thing a lane adds to a direct
-// batch) is redundant — and hands everything else to the engine's
-// ordinary dispatch.
+// Do forwards to the engine, which serves direct-eligible sorts inline.
 func (b localShard) Do(ctx context.Context, req engine.Request) engine.Result {
-	if res, ok := b.DoDirect(req); ok {
-		return res
-	}
 	return b.DoContext(ctx, req)
 }
 

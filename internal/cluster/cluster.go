@@ -25,13 +25,10 @@
 //     admission. This is the cluster-wide backpressure the per-lane
 //     bounded queues cannot provide on their own.
 //
-// Direct-eligible sorts take an inline fast path: after the router
-// admits a request, the target shard serves it on the caller's
-// goroutine via Engine.DoDirect — no lane hop, no dispatcher handoff —
-// because for the direct substrate a lane adds admission control and
-// nothing else, and admission just happened at the router. Everything
-// else (simulated sorts, selection ops, armed-chaos configurations)
-// flows through the shard engine's ordinary dispatch lanes unchanged.
+// After the router admits a request, the shard engine serves a
+// direct-eligible sort on the caller's goroutine, so the shed limit is
+// the only admission bound direct traffic meets; everything else flows
+// through the shard engine's dispatch lanes.
 package cluster
 
 import (
@@ -538,7 +535,6 @@ func (c *Cluster) Metrics() Metrics {
 		m.Engine.Replans += sm.Replans
 		m.Engine.Unrecoverable += sm.Unrecoverable
 		m.Engine.DirectRequests += sm.DirectRequests
-		m.Engine.DirectBatches += sm.DirectBatches
 		m.Engine.OracleRuns += sm.OracleRuns
 		m.Engine.ParityBreaks += sm.ParityBreaks
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"slices"
+	"sync"
 	"testing"
 
 	"hypersort/internal/bitonic"
@@ -57,8 +58,8 @@ func TestModeDirectServesSortsWithoutMachines(t *testing.T) {
 	if m.DirectRequests != 1 {
 		t.Errorf("DirectRequests = %d, want 1", m.DirectRequests)
 	}
-	if m.DirectBatches != 1 {
-		t.Errorf("DirectBatches = %d, want 1", m.DirectBatches)
+	if l := laneCount(dEng); l != 0 {
+		t.Errorf("%d dispatch lanes created, want 0", l)
 	}
 	if dRes.Res.Makespan <= 0 || dRes.Res.Comparisons <= 0 {
 		t.Errorf("predicted Result looks empty: %+v", dRes.Res)
@@ -217,18 +218,23 @@ func TestModeDirectUnbatched(t *testing.T) {
 	if m.MachinesBuilt != 0 {
 		t.Errorf("MachinesBuilt = %d, want 0", m.MachinesBuilt)
 	}
-	if m.DirectBatches != 0 {
-		t.Errorf("DirectBatches = %d, want 0 (no lanes with batching disabled)", m.DirectBatches)
-	}
 	if m.DirectRequests != 1 {
 		t.Errorf("DirectRequests = %d, want 1", m.DirectRequests)
 	}
 }
 
-// TestDirectBatchCoalescing drives concurrent direct-mode sorts through
-// the dispatcher and checks they coalesce into direct batches with
-// bit-identical results to the simulator.
-func TestDirectBatchCoalescing(t *testing.T) {
+// laneCount reports how many dispatch lanes e has created.
+func laneCount(e *Engine) int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.lanes)
+}
+
+// TestDirectSortsBypassLanes drives concurrent direct-mode sorts at one
+// configuration and checks that do() serves every one inline on the
+// direct substrate: all sorted, none fused, no machine built, and no
+// dispatch lane ever created.
+func TestDirectSortsBypassLanes(t *testing.T) {
 	e := New(1, 8)
 	defer e.Close()
 	e.SetMode(ModeDirect)
@@ -236,10 +242,17 @@ func TestDirectBatchCoalescing(t *testing.T) {
 
 	const n = 64
 	reqs := make([]Request, n)
+	results := make([]Result, n)
+	var wg sync.WaitGroup
 	for i := range reqs {
 		reqs[i] = Request{Config: cfg, Op: OpSort, Keys: directTestKeys(400, uint64(i))}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i] = e.Do(reqs[i])
+		}(i)
 	}
-	results := e.Batch(reqs)
+	wg.Wait()
 	for i, res := range results {
 		if res.Err != nil {
 			t.Fatalf("request %d: %v", i, res.Err)
@@ -257,10 +270,10 @@ func TestDirectBatchCoalescing(t *testing.T) {
 	if m.DirectRequests != n {
 		t.Errorf("DirectRequests = %d, want %d", m.DirectRequests, n)
 	}
-	if m.DirectBatches == 0 || m.DirectBatches > n {
-		t.Errorf("DirectBatches = %d, want in [1, %d]", m.DirectBatches, n)
+	if m.FusedBatches != 0 || m.MachinesBuilt != 0 {
+		t.Errorf("FusedBatches=%d MachinesBuilt=%d, want 0 (inline direct path)", m.FusedBatches, m.MachinesBuilt)
 	}
-	if m.MachinesBuilt != 0 {
-		t.Errorf("MachinesBuilt = %d, want 0", m.MachinesBuilt)
+	if l := laneCount(e); l != 0 {
+		t.Errorf("%d dispatch lanes created, want 0", l)
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
-// Continuous-batching dispatcher. Concurrent sort requests that share a
+// Continuous-batching dispatcher. Concurrent simulated sort requests
+// (direct-eligible sorts never reach a lane; see Engine.do) that share a
 // machine configuration land in one dispatch lane; the lane's dispatcher
 // gathers whatever is queued (up to MaxBatch, optionally lingering up to
 // MaxLinger for stragglers), leases ONE machine, and executes the whole
@@ -316,16 +317,6 @@ func (ln *lane) dispatch() {
 			return
 		case first := <-ln.q:
 			batch := ln.gather(append(buf[:0], first), &linger)
-			if ln.directOK() {
-				// Eligible for the direct substrate: serve the whole
-				// batch at host speed, no machine lease. Always inline —
-				// there is no lease to overlap with.
-				batch = ln.topUp(batch)
-				ln.runDirect(batch)
-				clear(batch)
-				buf = batch[:0]
-				continue
-			}
 			pl := e.poolFor(poolKey{pk: ln.key.pk, cost: ln.key.cost}, ln.cfg)
 			l, err := pl.acquire(context.Background(), e.stop)
 			// Top up with everything that queued while we waited for the

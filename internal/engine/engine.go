@@ -156,10 +156,8 @@ type Metrics struct {
 	Replans       int64
 	Unrecoverable int64
 	// DirectRequests counts requests served by the direct host-speed
-	// substrate (no machine lease, predicted Result); DirectBatches
-	// counts dispatcher batches executed directly.
+	// substrate (no machine lease, predicted Result).
 	DirectRequests int64
-	DirectBatches  int64
 	// OracleRuns counts sampled direct results re-executed on the
 	// simulator oracle; ParityBreaks counts oracle runs whose sorted
 	// output differed from the direct output (any nonzero value is a
@@ -222,7 +220,6 @@ type Engine struct {
 	unrecov    atomic.Int64
 
 	directReq    atomic.Int64
-	directBat    atomic.Int64
 	oracleRuns   atomic.Int64
 	parityBreaks atomic.Int64
 	// oracleTick counts direct results for 1-in-N oracle sampling.
@@ -381,7 +378,6 @@ func (e *Engine) Metrics() Metrics {
 		Replans:           e.replans.Load(),
 		Unrecoverable:     e.unrecov.Load(),
 		DirectRequests:    e.directReq.Load(),
-		DirectBatches:     e.directBat.Load(),
 		OracleRuns:        e.oracleRuns.Load(),
 		ParityBreaks:      e.parityBreaks.Load(),
 	}
@@ -541,9 +537,10 @@ func (e *Engine) DoContext(ctx context.Context, req Request) Result {
 	return res
 }
 
-// do is DoContext's body: panic containment, validation, planning, then
-// dispatch — through a batching lane for sorts, the direct substrate
-// for eligible sorts when batching is off, or the unbatched pool path.
+// do is DoContext's body and the one place that picks an execution
+// path: panic containment, validation, planning, then dispatch — the
+// direct substrate inline for eligible sorts, a batching lane for
+// simulated sorts, or the unbatched pool path.
 func (e *Engine) do(ctx context.Context, req Request) (res Result) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -564,22 +561,22 @@ func (e *Engine) do(ctx context.Context, req Request) (res Result) {
 	if err != nil {
 		return Result{Err: err}
 	}
-	// Sorts go through the continuous-batching lanes (whose dispatchers
-	// pick the substrate per batch); selection ops run their own
-	// internal multi-run protocols and stay on the unbatched path, and
-	// so do congestion-priced (multipath) sorts — their occupancy
-	// replay is a per-run pass that fused sessions cannot segment. A
-	// closed engine falls back to the unbatched path too.
+	// Eligible sorts run direct on the caller's goroutine unless chaos
+	// is armed on the pool; admission control is the caller's (the
+	// cluster router's shed limit), so a lane would add only a handoff.
+	if e.directEligible(cfg, req.Op) && !e.poolArmed(key, cfg) {
+		return e.serveDirect(key, cfg, entry, req)
+	}
+	// Simulated sorts go through the continuous-batching lanes;
+	// selection ops run their own internal multi-run protocols and stay
+	// on the unbatched path, and so do congestion-priced (multipath)
+	// sorts — their occupancy replay is a per-run pass that fused
+	// sessions cannot segment. A closed engine falls back to the
+	// unbatched path too.
 	if req.Op == OpSort && !e.batch.Disabled && cfg.Routing == machine.RouteSingle {
 		if res, handled := e.submit(ctx, key, cfg, entry, req); handled {
 			return res
 		}
-	}
-	// No lane took the request (batching disabled or engine closed):
-	// eligible sorts still get the direct substrate, unless this
-	// configuration's pool has chaos injections armed.
-	if e.directEligible(cfg, req.Op) && !e.poolArmed(key, cfg) {
-		return e.serveDirect(key, cfg, entry, req)
 	}
 	return e.doUnbatched(ctx, key, cfg, entry, req)
 }

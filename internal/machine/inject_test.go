@@ -152,13 +152,13 @@ func TestArmValidation(t *testing.T) {
 	m := machine.MustNew(machine.Config{Dim: 3, Faults: cube.NewNodeSet(1)})
 	defer m.Close()
 	bad := []machine.Injection{
-		{Kind: machine.KillNode, Node: 99},                          // outside the cube
-		{Kind: machine.KillNode, Node: 1},                           // already faulty
-		{Kind: machine.KillNode, Node: 2, At: -1},                   // negative trigger
-		{Kind: machine.KillLink, Link: [2]cube.NodeID{0, 3}},        // not an edge
-		{Kind: machine.KillLink, Link: [2]cube.NodeID{0, 99}},       // endpoint outside
+		{Kind: machine.KillNode, Node: 99},                                     // outside the cube
+		{Kind: machine.KillNode, Node: 1},                                      // already faulty
+		{Kind: machine.KillNode, Node: 2, At: -1},                              // negative trigger
+		{Kind: machine.KillLink, Link: [2]cube.NodeID{0, 3}},                   // not an edge
+		{Kind: machine.KillLink, Link: [2]cube.NodeID{0, 99}},                  // endpoint outside
 		{Kind: machine.KillLink, Link: [2]cube.NodeID{0, 1}, AfterMessages: 2}, // wrong trigger kind
-		{Kind: machine.InjectionKind(9), Node: 2},                   // unknown kind
+		{Kind: machine.InjectionKind(9), Node: 2},                              // unknown kind
 	}
 	for i, inj := range bad {
 		if err := m.Arm(inj); err == nil {

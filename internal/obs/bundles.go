@@ -279,10 +279,8 @@ type EngineMetrics struct {
 	// simulator stays the oracle).
 
 	// DirectRequests counts requests served by the direct substrate (no
-	// machine lease, predicted Result); DirectBatches counts dispatcher
-	// batches executed directly.
+	// machine lease, predicted Result).
 	DirectRequests *Counter
-	DirectBatches  *Counter
 	// OracleRuns counts sampled direct results re-executed on the
 	// simulator for cross-checking; DirectParityBreaks counts oracle runs
 	// whose sorted output differed from the direct output — any nonzero
@@ -340,8 +338,6 @@ func NewEngineMetrics(r *Registry) *EngineMetrics {
 			"Wall-clock nanoseconds from fatal injected casualty to recovered request completion."),
 		DirectRequests: r.Counter("hypersort_engine_direct_requests_total",
 			"Requests served by the direct host-speed substrate (no machine lease, predicted Result)."),
-		DirectBatches: r.Counter("hypersort_engine_direct_batches_total",
-			"Dispatcher batches executed on the direct substrate."),
 		OracleRuns: r.Counter("hypersort_engine_oracle_runs_total",
 			"Sampled direct results re-executed on the simulator oracle for cross-checking."),
 		DirectParityBreaks: r.Counter("hypersort_engine_direct_parity_breaks_total",

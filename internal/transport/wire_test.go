@@ -182,11 +182,12 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		0, 0, 0, // cost
 	}
 	cases := map[string][]byte{
-		"empty":        {},
-		"bad version":  {9, TProbe, 1},
-		"unknown type": {Version, 200, 1},
-		"truncated":    good[:len(good)-1],
-		"trailing":     append(append([]byte{}, good...), 0),
+		"empty":            {},
+		"bad version":      {9, TProbe, 1},
+		"previous version": {1, TProbe, 1},
+		"unknown type":     {Version, 200, 1},
+		"truncated":        good[:len(good)-1],
+		"trailing":         append(append([]byte{}, good...), 0),
 		// Counts wildly exceeding the remaining bytes must fail fast,
 		// BEFORE any allocation sized by them.
 		"huge fault count": binary.AppendUvarint(append([]byte{}, reqPrefix...), 1<<40),
