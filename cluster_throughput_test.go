@@ -77,18 +77,20 @@ func runClusterThroughput(b *testing.B, be clusterBackend, configs []engine.Conf
 }
 
 // newBenchCluster builds the cluster under benchmark: direct substrate
-// (matching the strongest single-engine baseline), one replica, and a
-// shed limit high enough that the storm is never refused — the rig
-// measures throughput, not admission policy.
+// (matching the strongest single-engine baseline), one replica spilled
+// to past 64 in-flight requests on the home shard (the threshold the
+// E23 baselines were recorded at), and a shed limit high enough that
+// the storm is never refused — the rig measures throughput, not
+// admission policy.
 func newBenchCluster(shards int) *cluster.Cluster {
 	c := cluster.New(cluster.Options{
-		Shards:    shards,
-		Replicas:  1,
-		ShedLimit: 1 << 20,
-		PoolSize:  1,
-		Workers:   throughputClients,
-		Batch:     engine.BatchOptions{MaxBatch: 32, MaxLinger: 100 * time.Microsecond},
-		Mode:      engine.ModeDirect,
+		Shards:         shards,
+		Replicas:       1,
+		SpillHighWater: 64,
+		ShedLimit:      1 << 20,
+		PoolSize:       1,
+		Workers:        throughputClients,
+		Mode:           engine.ModeDirect,
 	})
 	c.Instrument(obs.NewRegistry())
 	return c
@@ -99,7 +101,7 @@ func newBenchCluster(shards int) *cluster.Cluster {
 // measured against the best single-engine configuration, not a
 // strawman.
 func newBenchEngine() *engine.Engine {
-	e := engine.NewOpts(1, throughputClients, engine.BatchOptions{MaxBatch: 32, MaxLinger: 100 * time.Microsecond})
+	e := engine.New(1, throughputClients)
 	e.SetMode(engine.ModeDirect)
 	e.Instrument(obs.NewRegistry())
 	return e

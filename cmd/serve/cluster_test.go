@@ -55,7 +55,7 @@ func TestServeRetryAfterOnBackpressure(t *testing.T) {
 	eng := hypersort.NewEngine(hypersort.EngineConfig{
 		PoolSize:       1,
 		BatchWorkers:   1,
-		MaxBatch:       1,
+		SpillHighWater: 2,
 		AdmissionQueue: 1,
 	})
 	srv := httptest.NewServer(newMux(eng, nil, false, hypersort.RouteECube))

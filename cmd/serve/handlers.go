@@ -28,7 +28,7 @@ func newMux(eng *hypersort.Engine, ring *trace.Ring, chaos bool, routing hyperso
 	// name (registration is idempotent): every Engine instruments the
 	// shared engine bundle at construction.
 	queueWait := obs.Default().Histogram("hypersort_engine_queue_wait_ns",
-		"Nanoseconds a request waited for execution capacity (lane queue or machine-pool acquire).")
+		"Nanoseconds a request waited for execution capacity (machine-pool acquire).")
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
@@ -99,8 +99,8 @@ func newMux(eng *hypersort.Engine, ring *trace.Ring, chaos bool, routing hyperso
 			return
 		}
 		// The request context rides into the engine: a client that
-		// disconnects while its request is queued frees the slot
-		// immediately (the dispatcher never claims a cancelled item).
+		// disconnects while its request waits for a machine frees the
+		// slot immediately.
 		res := eng.SortBatchContext(r.Context(), []hypersort.Request{req})[0]
 		status := statusFor(res.Err)
 		if status == http.StatusServiceUnavailable {
@@ -202,7 +202,7 @@ func retryAfterSeconds(queueWait *obs.Histogram, hint int64) int {
 }
 
 // statusFor maps a per-request engine error to its HTTP status:
-// admission rejection (the lane's bounded queue is full) is transient
+// admission rejection (the pool's bounded wait queue is full) is transient
 // backpressure, so it answers 503 rather than 422 — clients should shed
 // or retry, not fix the request.
 func statusFor(err error) int {

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"hypersort"
 	"hypersort/internal/trace"
@@ -355,13 +354,14 @@ func TestServeStatusMapping(t *testing.T) {
 	}
 }
 
-// TestServeBatchedSortsCoalesce drives concurrent sorts on one
-// configuration through the HTTP surface and asserts the dispatcher
-// actually fused them — the production path (serve -> engine -> lane ->
-// fused session run) exercised end to end.
+// TestServeBatchedSortsCoalesce drives a burst of concurrent sorts on
+// one configuration through the HTTP surface onto a single simulated
+// machine (tracing keeps auto mode on the simulator) — the production
+// path serve -> engine -> machine pool exercised end to end: every
+// request must answer 200 after waiting its turn, none refused.
 func TestServeBatchedSortsCoalesce(t *testing.T) {
 	ring := trace.NewRing(1024, 1)
-	eng := hypersort.NewEngine(hypersort.EngineConfig{PoolSize: 1, BatchWorkers: 16, Trace: ring.Record, MaxLinger: 2 * time.Millisecond})
+	eng := hypersort.NewEngine(hypersort.EngineConfig{PoolSize: 1, BatchWorkers: 16, Trace: ring.Record})
 	srv := httptest.NewServer(newMux(eng, ring, true, hypersort.RouteECube))
 	t.Cleanup(func() {
 		srv.Close()
@@ -394,8 +394,9 @@ func TestServeBatchedSortsCoalesce(t *testing.T) {
 		}
 	}
 	mtr := eng.Metrics().Engine
-	if mtr.FusedRequests <= mtr.FusedBatches {
-		t.Fatalf("no coalescing over HTTP: %d fused requests in %d batches", mtr.FusedRequests, mtr.FusedBatches)
+	if mtr.Requests != burst || mtr.DirectRequests != 0 || mtr.AdmissionRejected != 0 {
+		t.Fatalf("engine counters after a %d-burst: %d requests, %d direct, %d rejected; want %d, 0, 0",
+			burst, mtr.Requests, mtr.DirectRequests, mtr.AdmissionRejected, burst)
 	}
 }
 

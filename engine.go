@@ -3,7 +3,6 @@ package hypersort
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"hypersort/internal/cluster"
 	"hypersort/internal/engine"
@@ -13,13 +12,13 @@ import (
 )
 
 // EngineConfig tunes an Engine: its shard topology and routing
-// thresholds, and the per-shard resource bounds and continuous-batching
-// dispatcher. The zero value selects sensible defaults (one shard,
-// GOMAXPROCS for both resource bounds, batching on).
+// thresholds, and the per-shard resource and admission bounds. The zero
+// value selects sensible defaults (one shard, GOMAXPROCS for both
+// resource bounds).
 type EngineConfig struct {
 	// Shards is the number of independent engine shards behind the
-	// consistent-hash router, each with its own plan cache, machine
-	// pools, and dispatch lanes. Values < 1 mean 1: a single-engine
+	// consistent-hash router, each with its own plan cache and machine
+	// pools. Values < 1 mean 1: a single-engine
 	// deployment is a cluster of one.
 	Shards int
 	// Replicas is how many replica shards a hot plan key may spill to
@@ -28,7 +27,7 @@ type EngineConfig struct {
 	Replicas int
 	// SpillHighWater is the in-flight request count on a key's home
 	// shard above which the router considers a replica. Values < 1
-	// select the default (2x the fused batch depth).
+	// select the default (16).
 	SpillHighWater int
 	// ShedLimit is the per-shard in-flight count at which a shard stops
 	// accepting routed traffic; when the home shard and every replica
@@ -61,20 +60,8 @@ type EngineConfig struct {
 	// consumer. Leave nil for zero tracing overhead.
 	Trace func(TraceEvent)
 
-	// DisableBatching turns the continuous-batching dispatcher off:
-	// every request leases its own machine (the pool-only behaviour of
-	// earlier releases). Mainly for A/B measurement.
-	DisableBatching bool
-	// MaxBatch caps how many concurrent compatible sort requests one
-	// fused machine run may carry. Values < 1 select the default (8).
-	MaxBatch int
-	// MaxLinger is how long the dispatcher holds a partial batch open
-	// waiting for more requests. 0 (the default) never waits: batches
-	// form only while the machine pool is saturated, adding no latency
-	// at low load. Positive values trade latency for larger batches.
-	MaxLinger time.Duration
-	// AdmissionQueue bounds how many sort requests may wait per
-	// configuration; beyond it requests fail fast with
+	// AdmissionQueue bounds how many simulated requests may wait for a
+	// machine per configuration; beyond it requests fail fast with
 	// ErrAdmissionRejected. Values < 1 select the default (256).
 	AdmissionQueue int
 
@@ -106,8 +93,8 @@ const (
 )
 
 // ErrAdmissionRejected is found (via errors.Is) in a Result.Err or Sort
-// error when the engine's bounded admission queue for the request's
-// configuration was full. It is the backpressure signal: shed load or
+// error when every machine of the request's configuration was busy and
+// the bounded number of requests waiting for one was reached. It is the backpressure signal: shed load or
 // retry with backoff. cmd/serve maps it to HTTP 503.
 var ErrAdmissionRejected = engine.ErrAdmissionRejected
 
@@ -156,16 +143,15 @@ var ErrClusterSaturated = cluster.ErrSaturated
 // configurations skip the O(rN) cutting-dimension search entirely),
 // pools independent simulated machines per configuration (so concurrent
 // requests run in parallel instead of serializing or racing), and
-// coalesces concurrent compatible sort requests into fused machine runs
-// via a continuous-batching dispatcher (so a saturated pool amortizes
-// lease and dispatch overhead across the queue instead of paying it per
-// request — see EngineConfig's MaxBatch/MaxLinger/AdmissionQueue).
+// bounds how many requests may wait for a busy pool (EngineConfig's
+// AdmissionQueue) so overload answers ErrAdmissionRejected instead of
+// an unbounded queue.
 //
 // Behind the facade sit EngineConfig.Shards independent engine shards
 // and a consistent-hash router — the paper's working-subcube partition
 // applied to the serving stack itself, with the single engine as its
-// one-shard case. Same-configuration traffic keeps landing on (and
-// fusing within) one shard; a hot configuration spills to replica
+// one-shard case. Same-configuration traffic keeps landing on one
+// shard's warm plan and machines; a hot configuration spills to replica
 // shards when its home saturates; and when every eligible shard is
 // saturated the router sheds the request with ErrClusterSaturated
 // before it touches a queue. Direct-eligible sorts run inline on the
@@ -192,8 +178,6 @@ func NewEngine(cfg EngineConfig) *Engine {
 	opts := cfg.routerOptions()
 	opts.Shards = max(cfg.Shards, 1)
 	opts.PoolSize = cfg.PoolSize
-	opts.Batch.Disabled = cfg.DisableBatching
-	opts.Batch.MaxLinger = cfg.MaxLinger
 	opts.Mode = cfg.Mode
 	opts.OracleSample = cfg.OracleSample
 	opts.Trace = machine.TraceFunc(cfg.Trace)
@@ -210,9 +194,9 @@ func NewEngine(cfg EngineConfig) *Engine {
 // response, and a dead shard (connection refused, broken mid-call,
 // timed out) is marked unhealthy, its keys re-routed to ring
 // successors, and reprobed until it returns. Only the router fields of
-// cfg and BatchWorkers apply (MaxBatch and AdmissionQueue seed the
-// spill and shed defaults); Shards is the address count, and each shard
-// process configures its own engine from its own flags.
+// cfg and BatchWorkers apply (AdmissionQueue seeds the shed default);
+// Shards is the address count, and each shard process configures its
+// own engine from its own flags.
 func NewRemoteEngine(cfg EngineConfig, addrs []string) *Engine {
 	backends := make([]cluster.Backend, len(addrs))
 	for i, addr := range addrs {
@@ -222,17 +206,14 @@ func NewRemoteEngine(cfg EngineConfig, addrs []string) *Engine {
 }
 
 // routerOptions carries cfg's routing thresholds, batch concurrency,
-// and the two batching knobs the spill and shed defaults derive from.
+// and the admission bound the shed default derives from.
 func (cfg EngineConfig) routerOptions() cluster.Options {
 	return cluster.Options{
 		Replicas:       cfg.Replicas,
 		SpillHighWater: cfg.SpillHighWater,
 		ShedLimit:      cfg.ShedLimit,
 		Workers:        cfg.BatchWorkers,
-		Batch: engine.BatchOptions{
-			MaxBatch:   cfg.MaxBatch,
-			QueueDepth: cfg.AdmissionQueue,
-		},
+		Batch:          engine.BatchOptions{QueueDepth: cfg.AdmissionQueue},
 	}
 }
 
@@ -285,13 +266,12 @@ type Result struct {
 	Err    error
 }
 
-// Close shuts down every shard's dispatch lanes (queued requests are
-// drained and served first) and retires the persistent worker goroutines
-// of its pooled machines; a remote engine closes its transport clients
-// (the shard processes are not its to stop). Call it when done serving —
+// Close retires the persistent worker goroutines of every shard's
+// pooled machines; a remote engine closes its transport clients (the
+// shard processes are not its to stop). Call it when done serving —
 // typically on server shutdown, after in-flight requests have drained.
-// The engine remains usable afterwards (requests fall back to the
-// unbatched pool path and machines respawn workers on demand), so Close
+// The engine remains usable afterwards (machines respawn workers on
+// demand), so Close
 // is a resource release, not a poison pill; it is idempotent and safe to
 // defer at construction time.
 func (e *Engine) Close() { e.c.Close() }
@@ -299,8 +279,7 @@ func (e *Engine) Close() { e.c.Close() }
 // EngineMetrics snapshots one engine shard's lifetime counters (or
 // their sum across shards): requests served, plan-cache hits and
 // misses, machines constructed (full builds versus pool-clone
-// fast-paths), and the continuous-batching dispatcher's coalescing,
-// rejection, and cancellation counts.
+// fast-paths), and admission rejection and cancellation counts.
 type EngineMetrics = engine.Metrics
 
 // ClusterMetrics snapshots an engine's lifetime counters: the router's
@@ -367,9 +346,7 @@ func (e *Engine) DisarmFaults(cfg Config) error {
 }
 
 // Sort sorts keys ascending on the configured faulty hypercube, reusing
-// the engine's cached plan and pooled machines for cfg — and, when other
-// Sorts for the same configuration are in flight, fusing them into one
-// machine run via the continuous-batching dispatcher. Safe for
+// the engine's cached plan and pooled machines for cfg. Safe for
 // concurrent use.
 func (e *Engine) Sort(cfg Config, keys []Key) ([]Key, Stats, error) {
 	return e.SortContext(context.Background(), cfg, keys)

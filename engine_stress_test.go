@@ -13,7 +13,7 @@ import (
 // configurations with deliberately small pools, verifying no deadlock,
 // no cross-request key leakage, and stable results. Each goroutine owns
 // a distinct key slice derived from its index, so any machine-reuse or
-// batching bug that mixes requests shows up as a wrong multiset, not
+// run-reuse bug that mixes requests shows up as a wrong multiset, not
 // just a misordering. Run it under -race (the CI race job does); skipped
 // in -short mode.
 func TestEngineStress(t *testing.T) {

@@ -1,10 +1,10 @@
 // Package cluster shards the request engine the way the paper shards a
 // faulty hypercube: N independent engine shards — each with its own plan
-// cache, machine pools, and dispatch lanes — behind a front router that
-// consistent-hashes requests by plan key, so traffic on one
-// configuration keeps landing on (and fusing within) one shard, and the
-// global mutexes a single engine serializes on (plan-key interning, lane
-// lookup, pool maps) split N ways.
+// cache and machine pools — behind a front router that consistent-hashes
+// requests by plan key, so traffic on one configuration keeps landing on
+// (and reusing the warm plan and machines of) one shard, and the global
+// mutexes a single engine serializes on (plan-key interning, pool maps)
+// split N ways.
 //
 // The router is the cluster's whole control plane, and it is lock-free:
 // an immutable hash ring, per-shard in-flight atomics, and three
@@ -22,13 +22,13 @@
 //     the shed limit, the router refuses the request BEFORE it touches
 //     any queue, wrapping engine.ErrAdmissionRejected so the HTTP layer
 //     answers the same 503-with-Retry-After contract as per-shard
-//     admission. This is the cluster-wide backpressure the per-lane
-//     bounded queues cannot provide on their own.
+//     admission. This is the cluster-wide backpressure the per-pool
+//     wait bounds cannot provide on their own.
 //
 // After the router admits a request, the shard engine serves a
 // direct-eligible sort on the caller's goroutine, so the shed limit is
-// the only admission bound direct traffic meets; everything else flows
-// through the shard engine's dispatch lanes.
+// the only admission bound direct traffic meets; everything else waits
+// for a machine of the shard engine's pool, under that pool's bound.
 package cluster
 
 import (
@@ -56,8 +56,8 @@ import (
 var ErrSaturated = errors.New("cluster: all eligible shards saturated")
 
 // Options configures a Cluster. The zero value selects sensible
-// defaults: GOMAXPROCS shards, one replica, spill at twice the fused
-// batch depth, shed at the per-lane admission-queue bound.
+// defaults: GOMAXPROCS shards, one replica, spill at 16 in-flight
+// requests, shed at the per-pool admission bound.
 type Options struct {
 	// Shards is the number of independent engine shards. Values < 1
 	// select GOMAXPROCS — one shard per processor, the goroutine-domain
@@ -69,12 +69,12 @@ type Options struct {
 	Replicas int
 	// SpillHighWater is the in-flight request count on a key's home
 	// shard above which the router considers spilling to a replica.
-	// Values < 1 select the default (2x the fused batch depth).
+	// Values < 1 select the default (16).
 	SpillHighWater int
 	// ShedLimit is the per-shard in-flight count at which a shard stops
 	// being eligible; when home and all replicas reach it the request is
 	// shed with ErrSaturated. Values < 1 select the default (the
-	// per-lane admission queue depth). Always normalized to exceed
+	// per-pool admission bound, Batch.QueueDepth). Always normalized to exceed
 	// SpillHighWater, or spill could never precede shed.
 	ShedLimit int
 	// VirtualNodes is the ring points per shard. Values < 1 select the
@@ -86,7 +86,7 @@ type Options struct {
 	// concurrency (see engine.NewOpts); values < 1 mean GOMAXPROCS.
 	PoolSize int
 	Workers  int
-	// Batch tunes each shard's continuous-batching dispatcher.
+	// Batch sets each shard's per-pool admission bound.
 	Batch engine.BatchOptions
 	// Mode, OracleSample, and Trace are applied to every shard (see the
 	// corresponding Engine setters).
@@ -149,6 +149,10 @@ type Cluster struct {
 	cm *obs.ClusterMetrics
 }
 
+// defaultSpillHighWater is the in-flight count on a home shard past
+// which the router considers a replica by default.
+const defaultSpillHighWater = 16
+
 // normalize fills opts' defaults for a cluster of `shards` shards.
 func (opts *Options) normalize(shards int) {
 	opts.Shards = shards
@@ -158,12 +162,8 @@ func (opts *Options) normalize(shards int) {
 	if opts.Replicas > opts.Shards-1 {
 		opts.Replicas = opts.Shards - 1
 	}
-	maxBatch := opts.Batch.MaxBatch
-	if maxBatch < 1 {
-		maxBatch = 8 // engine.NewOpts's default fused depth
-	}
 	if opts.SpillHighWater < 1 {
-		opts.SpillHighWater = 2 * maxBatch
+		opts.SpillHighWater = defaultSpillHighWater
 	}
 	if opts.ShedLimit < 1 {
 		opts.ShedLimit = opts.Batch.QueueDepth
@@ -243,8 +243,8 @@ func (c *Cluster) Instrument(r *obs.Registry) {
 	}
 }
 
-// Close shuts down every shard backend: dispatch lanes drain and pooled
-// machine workers retire in-process; transport clients close in
+// Close shuts down every shard backend: pooled machine workers retire
+// in-process; transport clients close in
 // multi-process mode. Idempotent, like Engine.Close.
 func (c *Cluster) Close() {
 	for _, s := range c.shards {
@@ -528,8 +528,6 @@ func (c *Cluster) Metrics() Metrics {
 		m.Engine.PlanMisses += sm.PlanMisses
 		m.Engine.MachinesBuilt += sm.MachinesBuilt
 		m.Engine.MachinesCloned += sm.MachinesCloned
-		m.Engine.FusedBatches += sm.FusedBatches
-		m.Engine.FusedRequests += sm.FusedRequests
 		m.Engine.AdmissionRejected += sm.AdmissionRejected
 		m.Engine.Cancelled += sm.Cancelled
 		m.Engine.Replans += sm.Replans

@@ -78,12 +78,6 @@ type Options struct {
 	// after each Step 8 re-sort) — the programmatic form of the paper's
 	// Figure 6 walkthrough. Called concurrently; see StateRecorder.
 	StepHook StepHook
-	// PerNodeBuf, if non-nil, is cleared, filled, and installed as the
-	// Result's PerNode map instead of allocating a fresh one per call
-	// (machine.RunInto's contract). Pooled callers pass the buffer from
-	// the previous run on the same resource; it belongs to the returned
-	// Result until the caller is done with it.
-	PerNodeBuf map[cube.NodeID]machine.Time
 	// Phases, if non-nil, receives per-phase virtual-time and comparison
 	// breakdowns keyed by the paper's algorithm steps: each processor
 	// reports the clock and comparison deltas of its Step 3 local sort,
@@ -144,7 +138,7 @@ func FTSortLayout(m *machine.Machine, layout *Layout, keys []sortutil.Key, opts 
 	if err != nil {
 		return nil, machine.Result{}, err
 	}
-	res, err := m.RunInto(layout.Working, run.Kernel(), opts.PerNodeBuf)
+	res, err := m.Run(layout.Working, run.Kernel())
 	if err != nil {
 		return nil, machine.Result{}, err
 	}
@@ -154,9 +148,9 @@ func FTSortLayout(m *machine.Machine, layout *Layout, keys []sortutil.Key, opts 
 // SortRun is one prepared FTSort execution: the validated plan/machine
 // pairing, the distributed key shares, the per-processor output slots,
 // and the SPMD kernel closure — everything FTSortLayout does around the
-// machine run, split from the run itself so the engine's continuous-
-// batching dispatcher can fuse several prepared sorts into one machine
-// dispatch (machine.Session.RunBatch) and gather each result afterwards.
+// machine run, split from the run itself so the engine can keep one
+// SortRun per pooled machine and re-arm it (Reuse) for every sort that
+// machine serves instead of rebuilding the arenas per request.
 type SortRun struct {
 	layout *Layout
 	opts   Options
@@ -219,8 +213,9 @@ func NewSortRun(m *machine.Machine, layout *Layout, keys []sortutil.Key, opts Op
 // and options, redistributing keys into the retained arenas. It skips
 // NewSortRun's plan/machine validation — the caller vouches that the
 // machine configuration matches the one the run was built for (the
-// engine's dispatch lanes serve exactly one configuration, so the check
-// would re-verify an invariant of the lane). Steady state it allocates
+// engine keeps a run on a machine lease, and a lease belongs to exactly
+// one configuration's pool, so the check would re-verify an invariant
+// of the pool). Steady state it allocates
 // nothing: only a change in padded share geometry regrows the arenas.
 func (r *SortRun) Reuse(keys []sortutil.Key) error {
 	clear(r.out)
@@ -251,8 +246,8 @@ func (r *SortRun) distribute(keys []sortutil.Key) error {
 	return nil
 }
 
-// Kernel returns the run's SPMD program, suitable for machine.Run or a
-// fused machine.Session sub-run on the layout's Working participants.
+// Kernel returns the run's SPMD program, suitable for machine.Run on the
+// layout's Working participants.
 // The closure is cached: successive calls (one per Reuse cycle) return
 // the same function.
 func (r *SortRun) Kernel() machine.Kernel {

@@ -178,7 +178,7 @@ func TestChaosRecoveredOutputDeterministic(t *testing.T) {
 // repeatedly arms the same single-victim kill. Every request must end
 // with the correct sorted output whether it ran before the arm, died and
 // recovered, or started on an already-degraded pool. Run under -race
-// this doubles as the injector/dispatcher memory-safety check.
+// this doubles as the injector/pool memory-safety check.
 func TestChaosConcurrentInjectionRace(t *testing.T) {
 	e := New(2, 4)
 	defer e.Close()

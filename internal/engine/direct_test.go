@@ -58,8 +58,8 @@ func TestModeDirectServesSortsWithoutMachines(t *testing.T) {
 	if m.DirectRequests != 1 {
 		t.Errorf("DirectRequests = %d, want 1", m.DirectRequests)
 	}
-	if l := laneCount(dEng); l != 0 {
-		t.Errorf("%d dispatch lanes created, want 0", l)
+	if n := poolCount(dEng); n != 0 {
+		t.Errorf("%d machine pools created, want 0", n)
 	}
 	if dRes.Res.Makespan <= 0 || dRes.Res.Comparisons <= 0 {
 		t.Errorf("predicted Result looks empty: %+v", dRes.Res)
@@ -199,10 +199,11 @@ func TestDirectOracleSampling(t *testing.T) {
 	}
 }
 
-// TestModeDirectUnbatched covers the batching-disabled route: eligible
-// sorts take the direct substrate straight from do(), no lanes involved.
+// TestModeDirectUnbatched covers the single-request route: an eligible
+// sort takes the direct substrate straight from do(), building no
+// machine.
 func TestModeDirectUnbatched(t *testing.T) {
-	e := NewOpts(1, 1, BatchOptions{Disabled: true})
+	e := New(1, 1)
 	defer e.Close()
 	e.SetMode(ModeDirect)
 	cfg := Config{Dim: 4}
@@ -212,7 +213,7 @@ func TestModeDirectUnbatched(t *testing.T) {
 		t.Fatal(res.Err)
 	}
 	if !res.Direct {
-		t.Fatal("unbatched eligible sort not served direct")
+		t.Fatal("eligible sort not served direct")
 	}
 	m := e.Metrics()
 	if m.MachinesBuilt != 0 {
@@ -223,17 +224,17 @@ func TestModeDirectUnbatched(t *testing.T) {
 	}
 }
 
-// laneCount reports how many dispatch lanes e has created.
-func laneCount(e *Engine) int {
+// poolCount reports how many machine pools e has created.
+func poolCount(e *Engine) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.lanes)
+	return len(e.pools)
 }
 
 // TestDirectSortsBypassLanes drives concurrent direct-mode sorts at one
 // configuration and checks that do() serves every one inline on the
-// direct substrate: all sorted, none fused, no machine built, and no
-// dispatch lane ever created.
+// direct substrate: all sorted, no machine built, and no machine pool
+// ever created.
 func TestDirectSortsBypassLanes(t *testing.T) {
 	e := New(1, 8)
 	defer e.Close()
@@ -270,10 +271,10 @@ func TestDirectSortsBypassLanes(t *testing.T) {
 	if m.DirectRequests != n {
 		t.Errorf("DirectRequests = %d, want %d", m.DirectRequests, n)
 	}
-	if m.FusedBatches != 0 || m.MachinesBuilt != 0 {
-		t.Errorf("FusedBatches=%d MachinesBuilt=%d, want 0 (inline direct path)", m.FusedBatches, m.MachinesBuilt)
+	if m.MachinesBuilt != 0 {
+		t.Errorf("MachinesBuilt=%d, want 0 (inline direct path)", m.MachinesBuilt)
 	}
-	if l := laneCount(e); l != 0 {
-		t.Errorf("%d dispatch lanes created, want 0", l)
+	if n := poolCount(e); n != 0 {
+		t.Errorf("%d machine pools created, want 0", n)
 	}
 }

@@ -145,11 +145,11 @@ func (e *Engine) serveDirect(key partition.PlanKey, cfg Config, entry *planEntry
 // the direct result: a sorted-output mismatch increments ParityBreaks
 // (any nonzero value is a substrate bug), and the predicted-vs-simulated
 // makespan error feeds the cost-error histogram. Oracle failures
-// (shutdown, injected faults armed between sampling and acquire) skip
-// the check rather than fail the already-served request.
+// (a template build error, injected faults armed between sampling and
+// acquire) skip the check rather than fail the already-served request.
 func (e *Engine) shadowOracle(key partition.PlanKey, cfg Config, entry *planEntry, req Request, got Result) {
 	pl := e.poolFor(poolKey{pk: key, cost: cfg.Cost}, cfg)
-	l, err := pl.acquire(context.Background(), e.stop)
+	l, err := pl.acquire(context.Background(), false)
 	if err != nil {
 		return
 	}

@@ -26,6 +26,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -56,11 +57,9 @@ type Config struct {
 	Protocol            bitonic.Protocol
 	AccountDistribution bool
 	// Routing selects the machine's path discipline (default
-	// RouteSingle). RouteMultipath requests get congestion-aware plans,
-	// congestion-priced machines, and — because the occupancy replay is
-	// a per-run pass — the unbatched pool path instead of fused
-	// dispatch lanes; they are also never direct-eligible (the §3
-	// predictor has no congestion model).
+	// RouteSingle). RouteMultipath requests get congestion-aware plans
+	// and congestion-priced machines; they are never direct-eligible
+	// (the §3 predictor has no congestion model).
 	Routing machine.RoutingPolicy
 }
 
@@ -140,14 +139,9 @@ type Metrics struct {
 	// the template); MachinesCloned counts Clone fast-path constructions.
 	MachinesBuilt  int64
 	MachinesCloned int64
-	// FusedBatches counts fused dispatches (one machine lease each) and
-	// FusedRequests the requests they carried; FusedRequests greater
-	// than FusedBatches means the dispatcher coalesced concurrent work.
-	FusedBatches  int64
-	FusedRequests int64
 	// AdmissionRejected counts requests refused with
 	// ErrAdmissionRejected; Cancelled counts requests whose context was
-	// cancelled while queued.
+	// cancelled while they waited for a machine.
 	AdmissionRejected int64
 	Cancelled         int64
 	// Replans counts successful hot replans after mid-run injected
@@ -166,19 +160,18 @@ type Metrics struct {
 	ParityBreaks int64
 }
 
-// Engine caches plans, pools machines, and coalesces concurrent
-// compatible sort requests into fused machine runs (see lane). The zero
-// value is not usable; construct with New or NewOpts. All methods are
-// safe for concurrent use.
+// Engine caches plans and pools machines, bounding how many requests
+// may wait for each pool's machines (see pool.acquire). The zero value
+// is not usable; construct with New or NewOpts. All methods are safe for
+// concurrent use.
 type Engine struct {
-	poolSize int
-	workers  int
-	batch    BatchOptions // normalized: see NewOpts
+	poolSize   int
+	workers    int
+	queueDepth int // per-pool admission bound; normalized by NewOpts
 
 	mu    sync.Mutex
 	plans map[partition.PlanKey]*planEntry
 	pools map[poolKey]*pool
-	lanes map[laneKey]*lane
 
 	// pkIntern maps a configuration's fingerprint bytes to the one
 	// durable PlanKey string for it, so the per-request path builds the
@@ -193,27 +186,11 @@ type Engine struct {
 	mode         Mode
 	oracleSample int
 
-	// Dispatcher lifecycle: stop tells lane dispatchers to drain and
-	// exit; wg tracks dispatchers and in-flight fused runners; closed
-	// (under closeMu) gates new lane submissions so Close cannot strand
-	// a queued request. Do keeps working after Close via the unbatched
-	// path.
-	closeMu sync.RWMutex
-	closed  bool
-	stop    chan struct{}
-	wg      sync.WaitGroup
-
-	// items recycles queued-request descriptors (and their rendezvous
-	// channels) across submissions; see item.
-	items sync.Pool
-
 	requests   atomic.Int64
 	planHits   atomic.Int64
 	planMisses atomic.Int64
 	built      atomic.Int64
 	cloned     atomic.Int64
-	fusedBat   atomic.Int64
-	fusedReq   atomic.Int64
 	rejected   atomic.Int64
 	cancelled  atomic.Int64
 	replans    atomic.Int64
@@ -259,15 +236,27 @@ type poolKey struct {
 	cost machine.CostModel
 }
 
-// New builds an engine with default batching options. poolSize bounds
-// the simulated machines kept per configuration and workers bounds
-// concurrently executing batch requests; values < 1 select GOMAXPROCS.
+// BatchOptions tunes the engine's admission bound.
+type BatchOptions struct {
+	// QueueDepth bounds how many requests may wait for each
+	// configuration's machine pool; a request finding every machine
+	// leased and QueueDepth requests already waiting is rejected with
+	// ErrAdmissionRejected. Values < 1 select the default (256).
+	QueueDepth int
+}
+
+const defaultQueueDepth = 256
+
+// New builds an engine with the default admission bound. poolSize
+// bounds the simulated machines kept per configuration and workers
+// bounds concurrently executing batch requests; values < 1 select
+// GOMAXPROCS.
 func New(poolSize, workers int) *Engine {
 	return NewOpts(poolSize, workers, BatchOptions{})
 }
 
-// NewOpts is New with explicit continuous-batching options (zero-value
-// fields select the defaults documented on BatchOptions).
+// NewOpts is New with explicit admission options (zero-value fields
+// select the defaults documented on BatchOptions).
 func NewOpts(poolSize, workers int, batch BatchOptions) *Engine {
 	if poolSize < 1 {
 		poolSize = runtime.GOMAXPROCS(0)
@@ -275,24 +264,16 @@ func NewOpts(poolSize, workers int, batch BatchOptions) *Engine {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if batch.MaxBatch < 1 {
-		batch.MaxBatch = defaultMaxBatch
-	}
 	if batch.QueueDepth < 1 {
 		batch.QueueDepth = defaultQueueDepth
 	}
-	if batch.MaxLinger < 0 {
-		batch.MaxLinger = 0
-	}
 	return &Engine{
-		poolSize: poolSize,
-		workers:  workers,
-		batch:    batch,
-		plans:    make(map[partition.PlanKey]*planEntry),
-		pools:    make(map[poolKey]*pool),
-		lanes:    make(map[laneKey]*lane),
-		pkIntern: make(map[string]partition.PlanKey),
-		stop:     make(chan struct{}),
+		poolSize:   poolSize,
+		workers:    workers,
+		queueDepth: batch.QueueDepth,
+		plans:      make(map[partition.PlanKey]*planEntry),
+		pools:      make(map[poolKey]*pool),
+		pkIntern:   make(map[string]partition.PlanKey),
 	}
 }
 
@@ -317,22 +298,13 @@ func (e *Engine) planKey(cfg Config) partition.PlanKey {
 	return pk
 }
 
-// Close shuts down the dispatch lanes — queued requests are drained and
-// served, then the dispatcher and runner goroutines exit — and retires
-// the persistent worker goroutines of every pooled machine. Call it when
-// the engine is done serving — e.g. on server shutdown — after all
-// in-flight requests have completed; requests issued after Close still
-// work (they take the unbatched pool path, and a closed machine
-// respawns its workers on the next run) but lose the warm-worker and
-// fusion amortization. Close is idempotent.
+// Close retires the persistent worker goroutines of every pooled
+// machine. Call it when the engine is done serving — e.g. on server
+// shutdown — after all in-flight requests have completed; requests
+// issued after Close still work (a closed machine respawns its workers
+// on the next run) but lose the warm-worker amortization. Close is
+// idempotent.
 func (e *Engine) Close() {
-	e.closeMu.Lock()
-	if !e.closed {
-		e.closed = true
-		close(e.stop)
-	}
-	e.closeMu.Unlock()
-	e.wg.Wait()
 	e.mu.Lock()
 	pools := make([]*pool, 0, len(e.pools))
 	for _, p := range e.pools {
@@ -371,8 +343,6 @@ func (e *Engine) Metrics() Metrics {
 		PlanMisses:        e.planMisses.Load(),
 		MachinesBuilt:     e.built.Load(),
 		MachinesCloned:    e.cloned.Load(),
-		FusedBatches:      e.fusedBat.Load(),
-		FusedRequests:     e.fusedReq.Load(),
 		AdmissionRejected: e.rejected.Load(),
 		Cancelled:         e.cancelled.Load(),
 		Replans:           e.replans.Load(),
@@ -455,7 +425,11 @@ func (e *Engine) poolFor(key poolKey, cfg Config) *pool {
 	defer e.mu.Unlock()
 	p, ok := e.pools[key]
 	if !ok {
-		p = newPool(e.poolSize, func(prev *machine.Machine) (*machine.Machine, error) {
+		var depth *obs.Gauge
+		if e.em != nil {
+			depth = e.em.QueueDepth
+		}
+		p = newPool(e.poolSize, e.queueDepth, depth, func(prev *machine.Machine) (*machine.Machine, error) {
 			if prev != nil {
 				e.cloned.Add(1)
 				if e.em != nil {
@@ -514,9 +488,9 @@ func (e *Engine) Do(req Request) Result {
 }
 
 // DoContext is Do with deadline and cancellation awareness: if ctx is
-// done before the request acquires execution capacity (a lane slot or a
-// pooled machine), the request returns promptly with the context's error
-// wrapped in Result.Err, leaking no pool token or queue slot. A context
+// done before the request acquires a pooled machine, the request returns
+// promptly with the context's error wrapped in Result.Err, leaking no
+// pool token or wait slot. A context
 // that expires mid-run does not abort the simulation — runs are short
 // and a partially executed simulated machine is worthless to a pool.
 func (e *Engine) DoContext(ctx context.Context, req Request) Result {
@@ -539,8 +513,8 @@ func (e *Engine) DoContext(ctx context.Context, req Request) Result {
 
 // do is DoContext's body and the one place that picks an execution
 // path: panic containment, validation, planning, then dispatch — the
-// direct substrate inline for eligible sorts, a batching lane for
-// simulated sorts, or the unbatched pool path.
+// direct substrate inline for eligible sorts, the machine pool for
+// everything else.
 func (e *Engine) do(ctx context.Context, req Request) (res Result) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -563,37 +537,32 @@ func (e *Engine) do(ctx context.Context, req Request) (res Result) {
 	}
 	// Eligible sorts run direct on the caller's goroutine unless chaos
 	// is armed on the pool; admission control is the caller's (the
-	// cluster router's shed limit), so a lane would add only a handoff.
+	// cluster router's shed limit).
 	if e.directEligible(cfg, req.Op) && !e.poolArmed(key, cfg) {
 		return e.serveDirect(key, cfg, entry, req)
 	}
-	// Simulated sorts go through the continuous-batching lanes;
-	// selection ops run their own internal multi-run protocols and stay
-	// on the unbatched path, and so do congestion-priced (multipath)
-	// sorts — their occupancy replay is a per-run pass that fused
-	// sessions cannot segment. A closed engine falls back to the
-	// unbatched path too.
-	if req.Op == OpSort && !e.batch.Disabled && cfg.Routing == machine.RouteSingle {
-		if res, handled := e.submit(ctx, key, cfg, entry, req); handled {
-			return res
-		}
-	}
-	return e.doUnbatched(ctx, key, cfg, entry, req)
+	return e.doPooled(ctx, key, cfg, entry, req)
 }
 
-// doUnbatched is the pool-only path: lease a machine, run the request
-// on it, release. Used by every non-sort op, by simulated sorts when
-// batching is disabled or the engine is closed, and by the dispatcher's
-// failure isolation re-runs.
-func (e *Engine) doUnbatched(ctx context.Context, key partition.PlanKey, cfg Config, entry *planEntry, req Request) Result {
+// doPooled is the pool path: lease a machine (subject to the pool's
+// admission bound), run the request on it, release. It serves every
+// simulated request and recovery's degraded re-runs.
+func (e *Engine) doPooled(ctx context.Context, key partition.PlanKey, cfg Config, entry *planEntry, req Request) Result {
 	pl := e.poolFor(poolKey{pk: key, cost: cfg.Cost}, cfg)
 	var start time.Time
 	if e.em != nil {
 		start = time.Now()
 	}
-	l, err := pl.acquire(ctx, nil)
+	l, err := pl.acquire(ctx, true)
 	if err != nil {
-		if ctx.Err() != nil {
+		switch {
+		case errors.Is(err, ErrAdmissionRejected):
+			e.rejected.Add(1)
+			if e.em != nil {
+				e.em.AdmissionRejected.Inc()
+			}
+			return Result{Err: err}
+		case ctx.Err() != nil:
 			e.cancelled.Add(1)
 			if e.em != nil {
 				e.em.Cancelled.Inc()
@@ -622,28 +591,15 @@ func (e *Engine) doUnbatched(ctx context.Context, key partition.PlanKey, cfg Con
 
 // runOnLease executes one request on an already-acquired lease.
 func (e *Engine) runOnLease(l *lease, entry *planEntry, req Request) Result {
-	cfg := req.Config
 	m := l.m
 
-	// Keys pass through uncloned: every downstream path (FTSortOpt,
+	// Keys pass through uncloned: every downstream path (SortRun,
 	// selection) treats the input as read-only, cloning per-processor
 	// shares before mutating — the same contract Sorter relies on.
 	keys := req.Keys
 	switch req.Op {
 	case OpSort:
-		out, r, err := core.FTSortLayout(m, entry.layout, keys, core.Options{
-			Protocol:            cfg.Protocol,
-			AccountDistribution: cfg.AccountDistribution,
-			// Reuse the lease's PerNode buffer run over run (first run
-			// allocates it, the capture below pools it) — the aliasing
-			// rule is documented on Result.
-			PerNodeBuf: l.perNode,
-			Phases:     e.phases,
-		})
-		if r.PerNode != nil {
-			l.perNode = r.PerNode
-		}
-		return Result{Keys: out, Res: r, Err: err}
+		return e.sortOnLease(l, entry, req)
 	case OpKthSmallest:
 		v, r, err := selection.KthSmallestOpt(m, entry.plan, keys, req.K, selection.Options{Phases: e.phases})
 		return Result{Value: v, Res: r, Err: err}
@@ -655,6 +611,40 @@ func (e *Engine) runOnLease(l *lease, entry *planEntry, req Request) Result {
 		return Result{Keys: out, Res: r, Err: err}
 	}
 	return Result{Err: fmt.Errorf("engine: unknown op %d", int(req.Op))}
+}
+
+// sortOnLease runs one OpSort on the lease's machine, re-arming the
+// lease's retained SortRun when it was built with the same options
+// (the lease's pool fixes the layout) and building a validated one
+// otherwise. The returned keys are a fresh copy (SortRun.Gather), so a
+// later sort re-arming the run cannot change them. Any failure drops
+// the run: its arenas may be left mid-exchange.
+func (e *Engine) sortOnLease(l *lease, entry *planEntry, req Request) Result {
+	cfg := req.Config
+	run := l.run
+	l.run = nil
+	var err error
+	if run != nil && l.runProtocol == cfg.Protocol && l.runAccount == cfg.AccountDistribution {
+		err = run.Reuse(req.Keys)
+	} else {
+		run, err = core.NewSortRun(l.m, entry.layout, req.Keys, core.Options{
+			Protocol:            cfg.Protocol,
+			AccountDistribution: cfg.AccountDistribution,
+			Phases:              e.phases,
+		})
+	}
+	if err != nil {
+		return Result{Err: err}
+	}
+	// Reuse the lease's PerNode buffer run over run (the first run
+	// allocates it) — the aliasing rule is documented on Result.
+	r, err := l.m.RunInto(entry.layout.Working, run.Kernel(), l.perNode)
+	if err != nil {
+		return Result{Err: err}
+	}
+	l.perNode = r.PerNode
+	l.run, l.runProtocol, l.runAccount = run, cfg.Protocol, cfg.AccountDistribution
+	return Result{Keys: run.Gather(), Res: r}
 }
 
 // Batch executes the requests concurrently — at most the engine's worker

@@ -2,11 +2,24 @@ package engine
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"sync"
+	"sync/atomic"
 
+	"hypersort/internal/bitonic"
+	"hypersort/internal/core"
 	"hypersort/internal/cube"
 	"hypersort/internal/machine"
+	"hypersort/internal/obs"
 )
+
+// ErrAdmissionRejected is reported (wrapped) in Result.Err when a
+// request finds every machine of its configuration's pool leased and
+// the pool's bounded wait queue full. It is the engine's backpressure
+// signal: the caller should shed or retry with backoff rather than pile
+// deeper.
+var ErrAdmissionRejected = errors.New("engine: admission queue full")
 
 // lease is what a request borrows from a pool: a simulated machine plus
 // the reusable per-run scratch tied to it. perNode is the Result.PerNode
@@ -17,6 +30,15 @@ type lease struct {
 	m *machine.Machine
 	// perNode is created lazily on the first request that produces one.
 	perNode map[cube.NodeID]machine.Time
+	// run is the SortRun of the last sort served on this machine, and
+	// runProtocol/runAccount the options it was built with. A lease
+	// belongs to one (PlanKey, cost) pool, so the run's layout always
+	// matches the next sort on the lease: one with the same options
+	// re-arms the run (SortRun.Reuse) instead of rebuilding its arenas.
+	// nil until the first sort, and after any failed one.
+	run         *core.SortRun
+	runProtocol bitonic.Protocol
+	runAccount  bool
 }
 
 // pool is a bounded pool of simulated machines for one configuration.
@@ -37,6 +59,13 @@ type pool struct {
 	// never blocks.
 	idle chan *lease
 
+	// maxWaiters bounds how many admitted acquires may block at once
+	// (see acquire); waiting counts them, mirrored into depth (nil when
+	// the engine is not instrumented).
+	maxWaiters int64
+	waiting    atomic.Int64
+	depth      *obs.Gauge
+
 	mu       sync.Mutex
 	template *machine.Machine
 	// all records every machine the pool ever built so Close can retire
@@ -44,25 +73,32 @@ type pool struct {
 	all []*machine.Machine
 }
 
-func newPool(max int, build func(prev *machine.Machine) (*machine.Machine, error)) *pool {
+func newPool(max, maxWaiters int, depth *obs.Gauge, build func(prev *machine.Machine) (*machine.Machine, error)) *pool {
 	if max < 1 {
 		max = 1
 	}
 	return &pool{
-		build: build,
-		sem:   make(chan struct{}, max),
-		idle:  make(chan *lease, max),
+		build:      build,
+		sem:        make(chan struct{}, max),
+		idle:       make(chan *lease, max),
+		maxWaiters: int64(maxWaiters),
+		depth:      depth,
 	}
 }
 
 // acquire returns an idle lease, or creates one if the pool is below its
-// bound, or blocks until one is released, the context is done, or stop
-// closes. An already-idle lease is always preferred, even over an
-// expired context — the caller paid the wait either way, and handing it
-// capacity is strictly more useful. ctx must be non-nil (pass
-// context.Background() to wait unconditionally); stop may be nil. A
-// stop-triggered return reports errClosed.
-func (p *pool) acquire(ctx context.Context, stop <-chan struct{}) (*lease, error) {
+// bound, or blocks until one is released or the context is done. An
+// already-idle lease is always preferred, even over an expired context —
+// the caller paid the wait either way, and handing it capacity is
+// strictly more useful. ctx must be non-nil (pass context.Background()
+// to wait unconditionally).
+//
+// admit applies the pool's admission bound, for request-path callers:
+// when every machine is leased and maxWaiters admitted callers are
+// already blocked, the call fails fast with a wrapped
+// ErrAdmissionRejected instead of waiting. Engine-internal callers
+// (chaos arm/disarm, the oracle shadow) pass false and always wait.
+func (p *pool) acquire(ctx context.Context, admit bool) (*lease, error) {
 	// Prefer reuse over growth when a machine is already idle.
 	select {
 	case l := <-p.idle:
@@ -70,30 +106,45 @@ func (p *pool) acquire(ctx context.Context, stop <-chan struct{}) (*lease, error
 	default:
 	}
 	select {
+	case p.sem <- struct{}{}:
+		return p.grow()
+	default:
+	}
+	if admit {
+		if p.waiting.Add(1) > p.maxWaiters {
+			p.waiting.Add(-1)
+			return nil, fmt.Errorf("%w (%d requests already waiting for a machine)", ErrAdmissionRejected, p.maxWaiters)
+		}
+		if p.depth != nil {
+			p.depth.Add(1)
+		}
+		defer func() {
+			p.waiting.Add(-1)
+			if p.depth != nil {
+				p.depth.Add(-1)
+			}
+		}()
+	}
+	select {
 	case l := <-p.idle:
 		return l, nil
 	case p.sem <- struct{}{}:
-		l, err := p.grow()
-		if err != nil {
-			<-p.sem
-			return nil, err
-		}
-		return l, nil
+		return p.grow()
 	case <-ctx.Done():
 		return nil, ctx.Err()
-	case <-stop:
-		return nil, errClosed
 	}
 }
 
-// grow builds one more machine: the template on first call, a clone of
-// it afterwards.
+// grow builds one more machine — the template on first call, a clone of
+// it afterwards — under the sem token the caller just took, handing the
+// token back if the build fails.
 func (p *pool) grow() (*lease, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.template == nil {
 		m, err := p.build(nil)
 		if err != nil {
+			<-p.sem
 			return nil, err
 		}
 		p.template = m
@@ -102,6 +153,7 @@ func (p *pool) grow() (*lease, error) {
 	}
 	m, err := p.build(p.template)
 	if err != nil {
+		<-p.sem
 		return nil, err
 	}
 	p.all = append(p.all, m)
@@ -120,7 +172,7 @@ func (p *pool) release(l *lease) {
 // has a template); arming the template arms every clone, existing and
 // future, because Clone shares the injector.
 func (p *pool) arm(injs ...machine.Injection) error {
-	l, err := p.acquire(context.Background(), nil)
+	l, err := p.acquire(context.Background(), false)
 	if err != nil {
 		return err
 	}
@@ -133,7 +185,7 @@ func (p *pool) arm(injs ...machine.Injection) error {
 
 // disarm clears the pool's injection schedule, fired entries included.
 func (p *pool) disarm() error {
-	l, err := p.acquire(context.Background(), nil)
+	l, err := p.acquire(context.Background(), false)
 	if err != nil {
 		return err
 	}

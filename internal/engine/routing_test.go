@@ -68,28 +68,3 @@ func TestMultipathNeverDirect(t *testing.T) {
 		t.Error("single-path request lost direct eligibility")
 	}
 }
-
-// TestMultipathBypassesLanes: congestion-priced sorts cannot join fused
-// batch sessions (the occupancy replay is per run), so the dispatcher
-// must route them down the unbatched pool path — observable as zero
-// batched requests after a multipath burst.
-func TestMultipathBypassesLanes(t *testing.T) {
-	e := New(2, 4)
-	defer e.Close()
-	cfg := Config{Dim: 3, Routing: machine.RouteMultipath}
-	reqs := make([]Request, 6)
-	for i := range reqs {
-		reqs[i] = Request{
-			Config: cfg, Op: OpSort,
-			Keys: workload.MustGenerate(workload.Uniform, 600, xrand.New(uint64(i+1))),
-		}
-	}
-	for _, res := range e.Batch(reqs) {
-		if res.Err != nil {
-			t.Fatal(res.Err)
-		}
-	}
-	if m := e.Metrics(); m.FusedBatches != 0 || m.FusedRequests != 0 {
-		t.Errorf("multipath requests joined a fused batch: %+v", m)
-	}
-}

@@ -228,29 +228,20 @@ type EngineMetrics struct {
 	// PoolInUse gauges machines currently leased to in-flight requests.
 	PoolInUse *Gauge
 
-	// Continuous-batching dispatcher instruments.
+	// Admission instruments: simulated requests wait for a machine of
+	// their configuration's pool, and each pool bounds its waiters.
 
-	// FusedBatches counts fused dispatches (one machine lease each);
-	// FusedRequests counts the requests they carried. The ratio is the
-	// mean coalescing factor — FusedRequests > FusedBatches means the
-	// dispatcher actually amortized lease/handoff cost.
-	FusedBatches  *Counter
-	FusedRequests *Counter
-	// AdmissionRejected counts requests refused because their lane's
-	// bounded admission queue was full (the caller saw
-	// ErrAdmissionRejected); Cancelled counts requests whose context was
-	// cancelled while they waited in a queue.
+	// AdmissionRejected counts requests refused because every machine of
+	// their pool was leased and the pool's wait bound was reached (the
+	// caller saw ErrAdmissionRejected); Cancelled counts requests whose
+	// context was cancelled while they waited for a machine.
 	AdmissionRejected *Counter
 	Cancelled         *Counter
-	// QueueDepth gauges requests currently waiting in dispatch lanes
-	// (admitted but not yet claimed by a fused batch).
+	// QueueDepth gauges requests currently waiting for a machine.
 	QueueDepth *Gauge
-	// QueueWait is the distribution of nanoseconds a request spent
-	// waiting for execution capacity: lane-queue wait for batched
-	// requests, machine-pool acquire wait for direct-path requests.
+	// QueueWait is the distribution of nanoseconds a simulated request
+	// spent in the machine-pool acquire (zero when a machine was idle).
 	QueueWait *Histogram
-	// BatchSize is the distribution of requests per fused dispatch.
-	BatchSize *Histogram
 
 	// Live-fault recovery instruments (the replanning path that survives
 	// mid-run injected casualties).
@@ -259,10 +250,6 @@ type EngineMetrics struct {
 	// fault, diagnosis converged, a new plan was found, and the request
 	// completed on the degraded configuration.
 	Replans *Counter
-	// AbortedSubRuns counts fused sub-runs cut short when a session
-	// abort cascade fired mid-batch (the culprit plus every sub-run
-	// never attempted).
-	AbortedSubRuns *Counter
 	// KeysRedistributed counts keys re-spread over the surviving
 	// processors by successful replans.
 	KeysRedistributed *Counter
@@ -312,24 +299,16 @@ func NewEngineMetrics(r *Registry) *EngineMetrics {
 			"Wall-clock request latency in nanoseconds, including machine-pool queueing."),
 		PoolInUse: r.Gauge("hypersort_engine_pool_in_use",
 			"Simulated machines currently leased to in-flight requests."),
-		FusedBatches: r.Counter("hypersort_engine_fused_batches_total",
-			"Fused dispatches executed by the continuous-batching dispatcher (one machine lease each)."),
-		FusedRequests: r.Counter("hypersort_engine_fused_requests_total",
-			"Requests executed inside fused dispatches (ratio to fused batches = mean coalescing factor)."),
 		AdmissionRejected: r.Counter("hypersort_engine_admission_rejected_total",
-			"Requests refused because a dispatch lane's bounded admission queue was full."),
+			"Requests refused because every machine of their pool was leased and the pool's wait bound was reached."),
 		Cancelled: r.Counter("hypersort_engine_cancelled_total",
-			"Requests whose context was cancelled while waiting in a queue."),
+			"Requests whose context was cancelled while waiting for a machine."),
 		QueueDepth: r.Gauge("hypersort_engine_queue_depth",
-			"Requests currently waiting in dispatch lanes (admitted, not yet claimed by a batch)."),
+			"Requests currently waiting for a machine."),
 		QueueWait: r.Histogram("hypersort_engine_queue_wait_ns",
-			"Nanoseconds a request waited for execution capacity (lane queue or machine-pool acquire)."),
-		BatchSize: r.Histogram("hypersort_engine_batch_size",
-			"Requests per fused dispatch."),
+			"Nanoseconds a request waited for execution capacity (machine-pool acquire)."),
 		Replans: r.Counter("hypersort_engine_replans_total",
 			"Successful hot replans after a mid-run injected casualty (diagnosis converged, new plan found, request completed)."),
-		AbortedSubRuns: r.Counter("hypersort_engine_aborted_sub_runs_total",
-			"Fused sub-runs cut short by a session abort cascade (culprit plus never-attempted remainder)."),
 		KeysRedistributed: r.Counter("hypersort_engine_keys_redistributed_total",
 			"Keys re-spread over surviving processors by successful replans."),
 		Unrecoverable: r.Counter("hypersort_engine_unrecoverable_total",

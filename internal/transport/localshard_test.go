@@ -18,8 +18,8 @@ import (
 // TestServerLocalShardServesDirectInline pins the shard server's
 // production fast path: over the local engine shard a shard process
 // serves, direct-eligible sorts run inline on the request goroutine —
-// every one counted as a direct request, none fused in a dispatch lane,
-// and no simulated machine built.
+// every one counted as a direct request, and no simulated machine
+// built.
 func TestServerLocalShardServesDirectInline(t *testing.T) {
 	shard := cluster.NewLocalShard(cluster.Options{PoolSize: 1, Workers: 4, Mode: engine.ModeDirect})
 	defer shard.Close()
@@ -64,8 +64,7 @@ func TestServerLocalShardServesDirectInline(t *testing.T) {
 	if m.DirectRequests != n {
 		t.Fatalf("DirectRequests = %d, want %d", m.DirectRequests, n)
 	}
-	if m.FusedBatches != 0 || m.MachinesBuilt != 0 {
-		t.Fatalf("FusedBatches=%d MachinesBuilt=%d, want both 0 (inline direct path)",
-			m.FusedBatches, m.MachinesBuilt)
+	if m.MachinesBuilt != 0 {
+		t.Fatalf("MachinesBuilt=%d, want 0 (inline direct path)", m.MachinesBuilt)
 	}
 }

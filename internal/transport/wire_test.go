@@ -184,7 +184,8 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":            {},
 		"bad version":      {9, TProbe, 1},
-		"previous version": {1, TProbe, 1},
+		"version 1":        {1, TProbe, 1},
+		"previous version": {2, TProbe, 1},
 		"unknown type":     {Version, 200, 1},
 		"truncated":        good[:len(good)-1],
 		"trailing":         append(append([]byte{}, good...), 0),

@@ -113,7 +113,6 @@ func newRemoteBenchCluster(b *testing.B, shards int) (*cluster.Cluster, func()) 
 		e := cluster.NewLocalShard(cluster.Options{
 			PoolSize: 1,
 			Workers:  throughputClients,
-			Batch:    engine.BatchOptions{MaxBatch: 32, MaxLinger: 100 * time.Microsecond},
 			Mode:     engine.ModeDirect,
 		})
 		e.Instrument(obs.NewRegistry())
