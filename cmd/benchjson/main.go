@@ -1,39 +1,41 @@
-// Command benchjson runs a set of Go benchmarks and emits their results
-// as a stable JSON document (ns/op, B/op, allocs/op per benchmark), or
-// compares a fresh run against a committed baseline and fails when a
-// metric regresses past its threshold.
+// Command benchjson is the benchmark regression gate. Run from the
+// repository root, it runs the gate groups recorded in the committed
+// baseline file BENCH.json and fails when a benchmark regresses past its
+// group's tolerances:
 //
-// It exists so CI can gate on allocation regressions without external
-// tooling (benchstat is not vendored): the repo commits the baseline
-// (BENCH_PR3.json) and the regression job runs
+//	go run ./cmd/benchjson           # gate, as CI runs it
+//	go run ./cmd/benchjson -update   # refresh BENCH.json's results in place
 //
-//	go run ./cmd/benchjson -bench '^(BenchmarkFig7a|BenchmarkEngineBatch)$' \
-//	    -benchtime 2x -baseline BENCH_PR3.json
-//
-// Comparison rules: allocs/op is the tightest gating metric — it is
-// deterministic for these simulations (virtual-time kernels allocate
-// identically run to run). ns/op is gated too, at ±25% by default: wide
-// enough for shared-runner noise, tight enough that losing the execution
-// core's constant-factor wins (persistent workers, SPSC rings, the tree
-// barrier) trips the gate. Raise -time-tolerance per-invocation when a
-// runner class is known-noisy.
-//
-// With -count N the benchmarks run N times (go test -count) and every
-// gated metric is the per-benchmark median, so one noisy sample on a
-// shared runner neither writes a skewed baseline nor trips the gate.
+// A group is one `go test -bench` run: its -bench regexp, its
+// -benchtime, optionally the -cpu it is pinned to, the allocs/op, B/op
+// and ns/op tolerances its benchmarks are held to, and their baseline
+// results. Every gated metric is the per-benchmark median over three
+// runs, so one noisy sample on a shared runner neither writes a skewed
+// baseline nor trips the gate.
 // Custom b.ReportMetric columns (req/s, p99-wait-ns, ...) are tolerated
-// and ignored: only ns/op, B/op, and allocs/op are recorded.
+// and ignored: only ns/op, B/op and allocs/op are recorded.
 //
-// Usage:
+// Comparison rules: a metric regresses when it exceeds
+// baseline*(1+tolerance), so a zero baseline (the allocation-free wire
+// codec) gates at exactly zero. allocs/op is the tightest metric — it is
+// deterministic for the virtual-time simulations. ns/op is gated wide
+// enough for shared-runner noise but tight enough that losing the
+// execution core's constant-factor wins trips the gate. A baseline entry
+// the run did not measure fails the gate: renaming or deleting a gated
+// benchmark means refreshing the file, so nothing drops out silently. A
+// measured benchmark without a baseline entry is reported and passes.
+// A file without groups, or a group without results, fails the gate
+// before anything runs: it would otherwise pass having checked nothing.
 //
-//	benchjson -bench 'BenchmarkFig7c' -count 3 -o BENCH_PR5.json  # write baseline
-//	benchjson -bench '...' -baseline BENCH_PR5.json               # gate in CI
+// The history of the baseline lives in git, not in file names.
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"regexp"
@@ -43,9 +45,16 @@ import (
 	"strings"
 )
 
-// Result is one benchmark's measured metrics. With -count > 1 each
-// metric is the median of the samples (ties averaged), and Samples
-// records how many runs fed it.
+// baselineFile is the committed baseline, relative to the repository
+// root the gate runs from.
+const baselineFile = "BENCH.json"
+
+// count is the number of runs of every group; each gated metric is the
+// median of its samples.
+const count = 3
+
+// Result is one benchmark's measured metrics: each is the median of its
+// samples (ties averaged), and Samples records how many runs fed it.
 type Result struct {
 	Name     string  `json:"name"`
 	NsPerOp  float64 `json:"ns_per_op"`
@@ -54,86 +63,102 @@ type Result struct {
 	Samples  int     `json:"samples,omitempty"`
 }
 
-// Doc is the file format: results keyed by benchmark name plus the exact
-// command that produced them, so a baseline is reproducible by hand.
+// Tolerance is the allowed fractional increase of each metric over its
+// baseline.
+type Tolerance struct {
+	NsPerOp  float64 `json:"ns_per_op"`
+	BPerOp   float64 `json:"b_per_op"`
+	AllocsOp float64 `json:"allocs_per_op"`
+}
+
+// Group is one `go test` run of the gate and the baseline it checks.
+// CPU, when set, pins the run to that GOMAXPROCS (go test -cpu); zero
+// runs it at the runner's CPU count.
+type Group struct {
+	Bench     string    `json:"bench"`
+	Benchtime string    `json:"benchtime"`
+	CPU       int       `json:"cpu,omitempty"`
+	Tolerance Tolerance `json:"tolerance"`
+	Results   []Result  `json:"results"`
+}
+
+// Doc is the baseline file format.
 type Doc struct {
-	Command string   `json:"command"`
-	Results []Result `json:"results"`
+	Groups []Group `json:"groups"`
 }
 
 func main() {
-	var (
-		bench     = flag.String("bench", "^(BenchmarkFig7a|BenchmarkEngineBatch|BenchmarkFTSort|BenchmarkDirectBatch|BenchmarkClusterThroughput|BenchmarkMultipathSort|BenchmarkTransportCodec)$", "benchmark regexp passed to go test -bench")
-		benchtime = flag.String("benchtime", "2x", "value passed to go test -benchtime")
-		pkg       = flag.String("pkg", ".", "package to benchmark")
-		out       = flag.String("o", "", "write results as JSON to this file (default stdout)")
-		baseline  = flag.String("baseline", "", "compare against this baseline JSON instead of writing; non-zero exit on regression")
-		allocTol  = flag.Float64("alloc-tolerance", 0.10, "allowed fractional allocs/op increase over baseline")
-		bytesTol  = flag.Float64("bytes-tolerance", 0.25, "allowed fractional B/op increase over baseline")
-		timeTol   = flag.Float64("time-tolerance", 0.25, "allowed fractional ns/op increase over baseline")
-		count     = flag.Int("count", 1, "benchmark repetitions (go test -count); metrics are per-benchmark medians")
-		input     = flag.String("parse", "", "parse an existing `go test -bench` output file instead of running benchmarks")
-	)
+	update := flag.Bool("update", false, "rewrite "+baselineFile+"'s results from this run instead of checking them")
 	flag.Parse()
 
-	var (
-		raw     []byte
-		command string
-		err     error
-	)
-	if *input != "" {
-		command = "parsed from " + *input
-		raw, err = os.ReadFile(*input)
+	doc, err := readDoc(baselineFile)
+	if err != nil {
+		fatal(err)
+	}
+	if !*update {
+		if err := checkGateable(doc); err != nil {
+			fatal(err)
+		}
+	}
+	ok := true
+	for i := range doc.Groups {
+		g := &doc.Groups[i]
+		cur, err := run(*g)
 		if err != nil {
 			fatal(err)
 		}
-	} else {
-		args := []string{"test", "-run", "^$", "-bench", *bench, "-benchmem", "-benchtime", *benchtime, "-count", strconv.Itoa(*count), *pkg}
-		command = "go " + strings.Join(args, " ")
-		fmt.Fprintf(os.Stderr, "benchjson: %s\n", command)
-		cmd := exec.Command("go", args...)
-		cmd.Stderr = os.Stderr
-		raw, err = cmd.Output()
-		if err != nil {
-			fatal(fmt.Errorf("benchmark run failed: %w", err))
+		if *update {
+			g.Results = cur
+		} else if !compare(os.Stdout, *g, cur) {
+			ok = false
 		}
 	}
 
-	// go test inherits this process's GOMAXPROCS (the environment
-	// variable or the CPU count), which is what names its -N suffix.
-	results, err := parseBench(string(raw), runtime.GOMAXPROCS(0))
+	if *update {
+		enc, err := json.MarshalIndent(doc, "", "  ")
+		if err != nil {
+			fatal(err)
+		}
+		if err := os.WriteFile(baselineFile, append(enc, '\n'), 0o644); err != nil {
+			fatal(err)
+		}
+		fmt.Fprintf(os.Stderr, "benchjson: refreshed %d groups in %s\n", len(doc.Groups), baselineFile)
+		return
+	}
+	if !ok {
+		fmt.Println("benchjson: FAIL — regression against baseline")
+		os.Exit(1)
+	}
+	fmt.Println("benchjson: PASS — within baseline tolerances")
+}
+
+// run executes one group's benchmarks in the current package and
+// returns their per-benchmark medians.
+func run(g Group) ([]Result, error) {
+	args := []string{"test", "-run", "^$", "-bench", g.Bench, "-benchmem", "-benchtime", g.Benchtime, "-count", strconv.Itoa(count)}
+	// Unpinned, go test inherits this process's GOMAXPROCS (the
+	// environment variable or the CPU count), which names its -N suffix.
+	procs := runtime.GOMAXPROCS(0)
+	if g.CPU > 0 {
+		procs = g.CPU
+		args = append(args, "-cpu", strconv.Itoa(g.CPU))
+	}
+	args = append(args, ".")
+	fmt.Fprintf(os.Stderr, "benchjson: go %s\n", strings.Join(args, " "))
+	cmd := exec.Command("go", args...)
+	cmd.Stderr = os.Stderr
+	raw, err := cmd.Output()
 	if err != nil {
-		fatal(err)
+		return nil, fmt.Errorf("benchmark run %q failed: %w", g.Bench, err)
+	}
+	results, err := parseBench(string(raw), procs)
+	if err != nil {
+		return nil, err
 	}
 	if len(results) == 0 {
-		fatal(fmt.Errorf("no benchmark results matched %q", *bench))
+		return nil, fmt.Errorf("no benchmark results matched %q", g.Bench)
 	}
-	doc := Doc{Command: command, Results: results}
-
-	if *baseline != "" {
-		base, err := readDoc(*baseline)
-		if err != nil {
-			fatal(err)
-		}
-		if ok := compare(base, doc, *allocTol, *bytesTol, *timeTol); !ok {
-			os.Exit(1)
-		}
-		return
-	}
-
-	enc, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	enc = append(enc, '\n')
-	if *out == "" {
-		os.Stdout.Write(enc)
-		return
-	}
-	if err := os.WriteFile(*out, enc, 0o644); err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "benchjson: wrote %d results to %s\n", len(results), *out)
+	return results, nil
 }
 
 // benchLine matches `go test -bench -benchmem` output rows, tolerating
@@ -214,73 +239,86 @@ func median(xs []float64) float64 {
 	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
+// readDoc decodes a baseline file, rejecting unknown keys so that an
+// old-format or misspelled file is an error rather than an empty gate.
 func readDoc(path string) (Doc, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return Doc{}, err
 	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
 	var d Doc
-	if err := json.Unmarshal(raw, &d); err != nil {
+	if err := dec.Decode(&d); err != nil {
 		return Doc{}, fmt.Errorf("%s: %w", path, err)
 	}
 	return d, nil
 }
 
-// compare prints a per-benchmark table and returns false if any current
-// metric exceeds baseline*(1+tolerance). Benchmarks present on only one
-// side are reported but never fail the gate (renames shouldn't break CI;
-// the baseline refresh catches them).
-func compare(base, cur Doc, allocTol, bytesTol, timeTol float64) bool {
-	baseBy := make(map[string]Result, len(base.Results))
-	for _, r := range base.Results {
-		baseBy[r.Name] = r
+// checkGateable rejects a baseline that would pass having checked
+// nothing: one without groups, or with a group that has no results.
+func checkGateable(d Doc) error {
+	if len(d.Groups) == 0 {
+		return fmt.Errorf("%s has no gate groups", baselineFile)
 	}
+	for _, g := range d.Groups {
+		if len(g.Results) == 0 {
+			return fmt.Errorf("%s: group %q has no baseline results", baselineFile, g.Bench)
+		}
+	}
+	return nil
+}
+
+// compare writes a per-benchmark table for one group to w and returns
+// false if any current metric exceeds baseline*(1+tolerance) or any
+// baseline entry was not measured.
+func compare(w io.Writer, g Group, cur []Result) bool {
+	curBy := make(map[string]Result, len(cur))
+	for _, c := range cur {
+		curBy[c.Name] = c
+	}
+	tol := g.Tolerance
 	ok := true
-	for _, c := range cur.Results {
-		b, found := baseBy[c.Name]
+	for _, b := range g.Results {
+		c, found := curBy[b.Name]
 		if !found {
-			fmt.Printf("%-48s (new; no baseline)\n", c.Name)
+			fmt.Fprintf(w, "%-48s in baseline but not measured  MISSING\n", b.Name)
+			ok = false
 			continue
 		}
-		delete(baseBy, c.Name)
-		allocBad := exceeds(float64(c.AllocsOp), float64(b.AllocsOp), allocTol)
-		bytesBad := exceeds(float64(c.BPerOp), float64(b.BPerOp), bytesTol)
-		timeBad := exceeds(c.NsPerOp, b.NsPerOp, timeTol)
+		delete(curBy, b.Name)
+		allocBad := exceeds(float64(c.AllocsOp), float64(b.AllocsOp), tol.AllocsOp)
+		bytesBad := exceeds(float64(c.BPerOp), float64(b.BPerOp), tol.BPerOp)
+		timeBad := exceeds(c.NsPerOp, b.NsPerOp, tol.NsPerOp)
 		status := "ok"
 		if allocBad || bytesBad || timeBad {
 			status = "REGRESSION"
 			ok = false
 		}
-		fmt.Printf("%-48s allocs %8d -> %8d (%+6.1f%%)  B %10d -> %10d  ns %12.0f -> %12.0f  %s\n",
-			c.Name, b.AllocsOp, c.AllocsOp, pct(float64(c.AllocsOp), float64(b.AllocsOp)),
+		fmt.Fprintf(w, "%-48s allocs %8d -> %8d (%+6.1f%%)  B %10d -> %10d  ns %12.0f -> %12.0f  %s\n",
+			b.Name, b.AllocsOp, c.AllocsOp, pct(float64(c.AllocsOp), float64(b.AllocsOp)),
 			b.BPerOp, c.BPerOp, b.NsPerOp, c.NsPerOp, status)
 		if allocBad {
-			fmt.Printf("  allocs/op regressed beyond %.0f%% tolerance\n", allocTol*100)
+			fmt.Fprintf(w, "  allocs/op regressed beyond %.0f%% tolerance\n", tol.AllocsOp*100)
 		}
 		if bytesBad {
-			fmt.Printf("  B/op regressed beyond %.0f%% tolerance\n", bytesTol*100)
+			fmt.Fprintf(w, "  B/op regressed beyond %.0f%% tolerance\n", tol.BPerOp*100)
 		}
 		if timeBad {
-			fmt.Printf("  ns/op regressed beyond %.0f%% tolerance\n", timeTol*100)
+			fmt.Fprintf(w, "  ns/op regressed beyond %.0f%% tolerance\n", tol.NsPerOp*100)
 		}
 	}
-	for name := range baseBy {
-		fmt.Printf("%-48s (in baseline but not measured)\n", name)
-	}
-	if !ok {
-		fmt.Println("benchjson: FAIL — regression against baseline")
-	} else {
-		fmt.Println("benchjson: PASS — within baseline tolerances")
+	for _, c := range cur {
+		if _, isNew := curBy[c.Name]; isNew {
+			fmt.Fprintf(w, "%-48s (new; no baseline)\n", c.Name)
+		}
 	}
 	return ok
 }
 
-// exceeds reports cur > base*(1+tol), treating a zero baseline as "any
-// increase is a regression" only when cur exceeds a small absolute slack.
+// exceeds reports cur > base*(1+tol); a zero baseline therefore admits
+// exactly zero.
 func exceeds(cur, base, tol float64) bool {
-	if base == 0 {
-		return cur > 8 // allow trivial noise over a zero baseline
-	}
 	return cur > base*(1+tol)
 }
 

@@ -13,7 +13,7 @@ package machine
 //
 //  1. Zero disarmed overhead. Every Proc operation begins with one atomic
 //     pointer load; nil means no injections and costs one predictable
-//     branch. The benchmark gate (BENCH_PR5.json) holds the hot path to
+//     branch. The benchmark gate (BENCH.json) holds the hot path to
 //     this budget.
 //  2. Deterministic firing. Triggers are defined purely in virtual time
 //     (first victim operation at or after At) or in the victim's own

@@ -15,7 +15,7 @@
 //     intermediate buffer) and decoded with one aligned copy into a
 //     caller-owned slice. Encode and decode of a 4096-key request stay
 //     allocation-free in steady state — the proxy overhead gate in
-//     BENCH_PR10.json pins that.
+//     BENCH.json pins that.
 //
 //   - Pipelining. Many requests are in flight per connection at once,
 //     matched to callers by correlation ID, so one shard connection

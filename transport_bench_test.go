@@ -4,7 +4,7 @@
 //     to cross the process boundary — encode a request, decode it shard-
 //     side, encode the result, decode it proxy-side? Steady state must
 //     be allocation-free: buffers and frames are reused, and the key
-//     payload is framed zero-copy on encode. BENCH_PR10.json gates
+//     payload is framed zero-copy on encode. BENCH.json gates
 //     ns/op and allocs/op on this path.
 //   - BenchmarkMultiProcessCluster: the same 64-client storm as E23,
 //     served by the in-process 4-shard cluster versus four wire-protocol
