@@ -6,7 +6,7 @@
 // Usage:
 //
 //	serve -addr :8080 [-pool 4] [-workers 8] [-trace-buf 65536] [-trace-sample 1]
-//	serve [-mode auto|direct|sim] [-oracle-sample 0] [-routing ecube|multipath]
+//	serve [-mode direct|sim] [-oracle-sample 1024] [-routing ecube|multipath]
 //	serve [-admission-queue 256]
 //	serve [-shards 4] [-replicas 1] [-spill-high-water 16] [-shed-limit 256]
 //	serve -cluster-mode=shard -addr :9101
@@ -40,15 +40,15 @@
 // ...) apply where the engines live: pass them to the shard processes, not
 // the proxy.
 //
-// -mode selects the execution substrate. "sim" (the historical
-// behaviour) runs every sort on the simulated machine with measured
-// stats. "direct" serves eligible sorts at host speed with predicted
-// stats ("direct":true in the response); the simulator remains the
-// oracle and the only path while -chaos injections are armed. "auto"
-// (the default) picks direct when it can be done faithfully — which
-// with the default tracing-on configuration means sim; pass
-// -trace-buf 0 to let auto serve direct. -oracle-sample N cross-checks
-// one in N direct results against the simulator.
+// -mode selects the execution substrate. "direct" (the default) serves
+// eligible sorts at host speed with predicted stats ("direct":true in
+// the response); selection ops, and every request while -chaos
+// injections are armed, run on the simulator. "sim" runs every request
+// on the simulated machine with measured stats. Tracing does not
+// change the substrate: a direct sort replays its compare-split
+// schedule into the -trace-buf ring. -oracle-sample N re-runs one in N
+// direct results on the simulator and counts any output mismatch as a
+// parity break (0 = off).
 //
 // -routing selects the default compare-split routing policy. "ecube"
 // (the default) is the paper's dimension-order discipline with hop-count
@@ -108,6 +108,19 @@ import (
 	"hypersort/internal/transport"
 )
 
+const (
+	// drainTimeout bounds how long shutdown waits for in-flight requests.
+	drainTimeout = 10 * time.Second
+	// readHeaderTimeout bounds how long a client may take to send its
+	// request headers, so a stalled or trickling client cannot hold a
+	// connection and its goroutine forever.
+	readHeaderTimeout = drainTimeout
+	// defaultOracleSample is -oracle-sample's default: one direct result
+	// in 1024 is re-run on the simulator (see EXPERIMENTS.md E22 for its
+	// measured cost).
+	defaultOracleSample = 1024
+)
+
 func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "HTTP listen address")
@@ -120,9 +133,9 @@ func main() {
 		replicas    = flag.Int("replicas", -1, "replica shards a hot plan key may spill to (-1 = default 1, 0 = spill off; clamped to shards-1)")
 		spillHW     = flag.Int("spill-high-water", 0, "in-flight requests on a home shard before spilling to replicas (0 = default)")
 		shedLimit   = flag.Int("shed-limit", 0, "in-flight requests per shard before the router sheds with 503 (0 = default)")
-		mode        = flag.String("mode", "auto", "execution substrate: sim, direct, or auto")
+		mode        = flag.String("mode", "direct", "execution substrate: direct or sim")
 		routing     = flag.String("routing", "ecube", "default compare-split routing policy: ecube or multipath (per-request \"routing\" overrides)")
-		oracle      = flag.Int("oracle-sample", 0, "cross-check 1 in N direct results on the simulator oracle (0 = off)")
+		oracle      = flag.Int("oracle-sample", defaultOracleSample, "cross-check 1 in N direct results on the simulator oracle (0 = off)")
 		traceBuf    = flag.Int("trace-buf", 1<<16, "machine events kept for /v1/trace (0 disables tracing)")
 		traceSample = flag.Int("trace-sample", 1, "record 1 of every N machine events")
 		chaos       = flag.Bool("chaos", false, "enable the /v1/chaos fault-injection endpoints (live-fault drills)")
@@ -186,7 +199,7 @@ func main() {
 	// Graceful shutdown: SIGINT/SIGTERM stops accepting, drains in-flight
 	// requests, then retires the engine's pooled worker goroutines — the
 	// teardown half of the persistent-worker substrate.
-	srv := &http.Server{Handler: newMux(eng, ring, *chaos, routePolicy)}
+	srv := newHTTPServer(newMux(eng, ring, *chaos, routePolicy))
 	lis, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatal(err)
@@ -194,11 +207,17 @@ func main() {
 	done := make(chan os.Signal, 1)
 	signal.Notify(done, os.Interrupt, syscall.SIGTERM)
 	fmt.Printf("serve: listening on %s (cluster-mode=%q shards=%d pool=%d workers=%d mode=%s routing=%s trace-buf=%d)\n", lis.Addr(), *clusterMode, eng.NumShards(), *pool, *workers, execMode, routePolicy, *traceBuf)
-	if err := serveUntil(srv, lis, done, 10*time.Second, eng.Close); err != nil {
+	if err := serveUntil(srv, lis, done, drainTimeout, eng.Close); err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)
 		os.Exit(1)
 	}
 	fmt.Println("serve: drained, workers retired")
+}
+
+// newHTTPServer builds the HTTP server around h with the service's
+// connection bounds.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
 }
 
 // serveUntil serves srv on lis until sig delivers, drains in-flight
@@ -257,7 +276,7 @@ func runShard(addr string, ecfg hypersort.EngineConfig) error {
 	shutdownErr := make(chan error, 1)
 	go func() {
 		<-sig
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 		defer cancel()
 		shutdownErr <- srv.Shutdown(ctx)
 	}()
@@ -300,14 +319,12 @@ func parseRouting(s string) (hypersort.RoutingPolicy, error) {
 // parseMode maps the -mode flag to an execution substrate.
 func parseMode(s string) (hypersort.ExecMode, error) {
 	switch s {
-	case "sim":
-		return hypersort.ModeSim, nil
 	case "direct":
 		return hypersort.ModeDirect, nil
-	case "auto":
-		return hypersort.ModeAuto, nil
+	case "sim":
+		return hypersort.ModeSim, nil
 	}
-	return hypersort.ModeSim, fmt.Errorf("serve: unknown -mode %q (want sim, direct, or auto)", s)
+	return hypersort.ModeDirect, fmt.Errorf("serve: unknown -mode %q (want direct or sim)", s)
 }
 
 func fatal(err error) {

@@ -356,7 +356,8 @@ func TestServeStatusMapping(t *testing.T) {
 
 // TestServeBatchedSortsCoalesce drives a burst of concurrent sorts on
 // one configuration through the HTTP surface onto a single simulated
-// machine (tracing keeps auto mode on the simulator) — the production
+// machine (the engine's zero Mode, ModeSim, keeps sorts on the
+// simulator) — the production
 // path serve -> engine -> machine pool exercised end to end: every
 // request must answer 200 after waiting its turn, none refused.
 func TestServeBatchedSortsCoalesce(t *testing.T) {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,11 +11,16 @@ import (
 	"testing"
 
 	"hypersort"
+	"hypersort/internal/core"
+	"hypersort/internal/cube"
+	"hypersort/internal/direct"
+	"hypersort/internal/partition"
 	"hypersort/internal/trace"
 )
 
-// TestServeParseMode pins the -mode flag vocabulary: the three
-// substrates parse, anything else is a startup error.
+// TestServeParseMode pins the -mode flag vocabulary: the two
+// substrates parse, anything else — the retired "auto" included — is a
+// startup error.
 func TestServeParseMode(t *testing.T) {
 	cases := []struct {
 		in      string
@@ -23,7 +29,7 @@ func TestServeParseMode(t *testing.T) {
 	}{
 		{"sim", hypersort.ModeSim, false},
 		{"direct", hypersort.ModeDirect, false},
-		{"auto", hypersort.ModeAuto, false},
+		{"auto", 0, true},
 		{"", 0, true},
 		{"Direct", 0, true},
 		{"turbo", 0, true},
@@ -46,11 +52,22 @@ func TestServeParseMode(t *testing.T) {
 
 // newModeServer stands up the handler set over an engine in the given
 // execution mode with tracing off — the `serve -mode=... -trace-buf 0`
-// configuration, which is the one where auto serves direct.
+// configuration.
 func newModeServer(t *testing.T, mode hypersort.ExecMode) (*httptest.Server, *hypersort.Engine) {
 	t.Helper()
-	eng := hypersort.NewEngine(hypersort.EngineConfig{PoolSize: 1, BatchWorkers: 2, Mode: mode})
-	srv := httptest.NewServer(newMux(eng, nil, true, hypersort.RouteECube))
+	return newModeServerRing(t, mode, nil)
+}
+
+// newModeServerRing is newModeServer with a trace ring attached (nil
+// for none).
+func newModeServerRing(t *testing.T, mode hypersort.ExecMode, ring *trace.Ring) (*httptest.Server, *hypersort.Engine) {
+	t.Helper()
+	ecfg := hypersort.EngineConfig{PoolSize: 1, BatchWorkers: 2, Mode: mode}
+	if ring != nil {
+		ecfg.Trace = ring.Record
+	}
+	eng := hypersort.NewEngine(ecfg)
+	srv := httptest.NewServer(newMux(eng, ring, true, hypersort.RouteECube))
 	t.Cleanup(func() {
 		srv.Close()
 		eng.Close()
@@ -150,12 +167,13 @@ func TestServeDirectModeErrorContract(t *testing.T) {
 }
 
 // TestServeAutoModeChaosFallback is the serve-level armed-chaos
-// invariant: an auto-mode server (tracing off) serves direct until a
+// invariant: a direct-mode server with a trace ring — the default
+// serve configuration — serves direct until a
 // /v1/chaos/inject arms a casualty on the configuration, then every
 // sort runs on the simulator (no "direct" flag, no direct-counter
 // movement) until /v1/chaos/disarm stands the drill down.
 func TestServeAutoModeChaosFallback(t *testing.T) {
-	srv, eng := newModeServer(t, hypersort.ModeAuto)
+	srv, eng := newModeServerRing(t, hypersort.ModeDirect, trace.NewRing(1024, 1))
 	body := sortBody(4, nil, 96)
 
 	status, res := postSort(t, srv, body)
@@ -163,7 +181,7 @@ func TestServeAutoModeChaosFallback(t *testing.T) {
 		t.Fatalf("pre-arm sort: status %d err %q", status, res.Err)
 	}
 	if !res.Direct {
-		t.Fatal("auto-mode sort without tracing not served direct")
+		t.Fatal("traced direct-mode sort not served direct")
 	}
 	if m := eng.Metrics().Engine; m.DirectRequests != 1 {
 		t.Fatalf("pre-arm DirectRequests = %d, want 1", m.DirectRequests)
@@ -232,26 +250,110 @@ func TestServeSimModeNeverDirect(t *testing.T) {
 	}
 }
 
-// TestServeAutoModeTracedServesSim pins the documented default: with a
-// trace ring attached (the default serve configuration) auto mode
-// faithfully serves the simulator, because direct runs emit no machine
-// events for /v1/trace.
-func TestServeAutoModeTracedServesSim(t *testing.T) {
-	ring := trace.NewRing(1024, 1)
-	eng := hypersort.NewEngine(hypersort.EngineConfig{PoolSize: 1, BatchWorkers: 2, Mode: hypersort.ModeAuto, Trace: ring.Record})
-	srv := httptest.NewServer(newMux(eng, ring, false, hypersort.RouteECube))
-	t.Cleanup(func() {
-		srv.Close()
-		eng.Close()
-	})
-	status, res := postSort(t, srv, sortBody(3, nil, 64))
-	if status != http.StatusOK || res.Err != "" {
-		t.Fatalf("sort: status %d err %q", status, res.Err)
+// TestServeTraceKeepsDirectBytes pins that attaching a trace ring
+// changes neither the substrate nor any output byte: the same bodies
+// posted to a server with a ring and to one without come back
+// byte-identical, both "direct":true.
+func TestServeTraceKeepsDirectBytes(t *testing.T) {
+	ring := trace.NewRing(1<<12, 1)
+	traced, tracedEng := newModeServerRing(t, hypersort.ModeDirect, ring)
+	plain, _ := newModeServer(t, hypersort.ModeDirect)
+	bodies := []string{
+		sortBody(2, nil, 16),
+		sortBody(2, []int64{3}, 16),
+		sortBody(4, []int64{5}, 700),
+		sortBody(5, []int64{3, 5, 16, 24}, 4096),
+		sortBody(6, []int64{3, 17, 40}, 1000),
 	}
-	if res.Direct {
-		t.Fatal("traced auto-mode sort served direct")
+	for _, body := range bodies {
+		got, want := postRaw(t, traced, body), postRaw(t, plain, body)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("traced response differs from untraced:\n%s\nvs\n%s", got, want)
+		}
+		if !bytes.Contains(got, []byte(`"direct":true`)) {
+			t.Fatalf("response not served direct: %s", got)
+		}
 	}
-	if m := eng.Metrics().Engine; m.DirectRequests != 0 {
-		t.Fatalf("DirectRequests = %d, want 0", m.DirectRequests)
+	if m := tracedEng.Metrics().Engine; m.DirectRequests != int64(len(bodies)) || m.MachinesBuilt != 0 {
+		t.Fatalf("traced engine: DirectRequests=%d MachinesBuilt=%d, want %d and 0", m.DirectRequests, m.MachinesBuilt, len(bodies))
+	}
+	if ring.Seen() == 0 {
+		t.Fatal("traced direct sorts offered no events to the ring")
+	}
+}
+
+// postRaw posts body to /v1/sort and returns the raw 200 response body.
+func postRaw(t *testing.T, srv *httptest.Server, body string) []byte {
+	t.Helper()
+	resp, err := http.Post(srv.URL+"/v1/sort", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, b)
+	}
+	return b
+}
+
+// TestServeTraceShowsDirectRounds pins that /v1/trace observes the
+// direct path: after one direct sort the ring holds exactly the
+// schedule's replay — one compute row per working processor and one
+// send row per compare-split pair, tagged by round.
+func TestServeTraceShowsDirectRounds(t *testing.T) {
+	ring := trace.NewRing(1<<12, 1)
+	srv, _ := newModeServerRing(t, hypersort.ModeDirect, ring)
+	faults := []int64{3, 5, 16, 24}
+	if _, res := postSort(t, srv, sortBody(5, faults, 640)); !res.Direct {
+		t.Fatal("sort not served direct")
+	}
+	plan, err := partition.BuildPlan(5, cube.NewNodeSet(3, 5, 16, 24))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sch := direct.Compile(core.NewLayout(plan))
+
+	resp, err := http.Get(srv.URL + "/v1/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+			Args struct {
+				Tag  *int64 `json:"tag"`
+				Keys *int   `json:"keys"`
+			} `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	k := (640 + sch.P() - 1) / sch.P()
+	var compute, send int
+	maxTag := int64(-1)
+	for _, ev := range doc.TraceEvents {
+		switch ev.Name {
+		case "compute":
+			compute++
+		case "send":
+			send++
+			if ev.Args.Tag == nil || ev.Args.Keys == nil || *ev.Args.Keys != k {
+				t.Fatalf("send row lacks its round tag or share size %d: %+v", k, ev.Args)
+			}
+			maxTag = max(maxTag, *ev.Args.Tag)
+		}
+	}
+	if compute != sch.P() || send != sch.NumPairs() {
+		t.Fatalf("trace holds %d compute and %d send rows, want %d and %d", compute, send, sch.P(), sch.NumPairs())
+	}
+	if maxTag != int64(sch.NumRounds()-1) {
+		t.Fatalf("last round tag %d, want %d", maxTag, sch.NumRounds()-1)
 	}
 }

@@ -1,13 +1,15 @@
 package main
 
-// Regression tests for the graceful-shutdown ordering and the
-// proxy-mode Retry-After hint.
+// Regression tests for the graceful-shutdown ordering, the header-read
+// bound and the proxy-mode Retry-After hint.
 
 import (
+	"errors"
 	"io"
 	"net"
 	"net/http"
 	"os"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -123,5 +125,60 @@ func TestServeUntilDrainsBeforeBackendClose(t *testing.T) {
 		if resp.StatusCode != http.StatusOK || string(body) != "drained" {
 			t.Fatalf("in-flight response = %d %q, want 200 \"drained\"", resp.StatusCode, body)
 		}
+	}
+}
+
+// TestServeReadHeaderTimeout pins the header-read bound: the server
+// newHTTPServer builds carries a ReadHeaderTimeout, and a raw TCP client
+// that sends a partial request header and then stalls is disconnected
+// within it — leaving no goroutine behind once the server closes.
+func TestServeReadHeaderTimeout(t *testing.T) {
+	before := runtime.NumGoroutine()
+	srv := newHTTPServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != readHeaderTimeout || readHeaderTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout = %v, want %v", srv.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	const bound = 200 * time.Millisecond
+	srv.ReadHeaderTimeout = bound
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(lis) }()
+
+	conn, err := net.Dial("tcp", lis.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if _, err := io.WriteString(conn, "POST /v1/sort HTTP/1.1\r\nHost: stalled\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	// The read deadline only stops a server that never hangs up from
+	// hanging the test; the server must close the connection first.
+	conn.SetReadDeadline(time.Now().Add(10 * bound))
+	_, err = io.Copy(io.Discard, conn)
+	elapsed := time.Since(start)
+	conn.Close()
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("server kept a stalled header open for %v (bound %v)", elapsed, bound)
+	}
+	if elapsed > bound+time.Second {
+		t.Fatalf("stalled client disconnected after %v, want within %v", elapsed, bound)
+	}
+
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-served; !errors.Is(err, http.ErrServerClosed) {
+		t.Fatalf("Serve returned %v", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines: %d before, %d after the stalled connection", before, after)
 	}
 }

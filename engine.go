@@ -51,10 +51,12 @@ type EngineConfig struct {
 	// GOMAXPROCS.
 	BatchWorkers int
 	// Trace, if non-nil, receives every machine event (send, receive,
-	// compute) of every request the engine serves. Unlike Sorter's
-	// per-run Config.Trace — which the engine rejects — this hook is
-	// engine-wide: pooled machines share it, so events from concurrent
-	// requests interleave. It is called from many goroutines at once and
+	// compute) of every request the engine serves; direct runs deliver
+	// their schedule replayed as compute and send events (see Mode).
+	// Unlike Sorter's per-run Config.Trace — which the engine rejects —
+	// this hook is engine-wide: pooled machines and direct runs share
+	// it, so events from concurrent requests interleave. It is called
+	// from many goroutines at once and
 	// must be safe for concurrent use; a bounded sampling sink (the
 	// internal ring tracer behind cmd/serve's /v1/trace) is the intended
 	// consumer. Leave nil for zero tracing overhead.
@@ -71,8 +73,10 @@ type EngineConfig struct {
 	// distribution accounting) at host speed with analytically predicted
 	// Stats — bit-identical sorted output, no simulated machinery — and
 	// falls back to the simulator for everything else, including any
-	// configuration with chaos injections armed. ModeAuto is ModeDirect
-	// unless Trace is set (direct runs emit no machine events).
+	// configuration with chaos injections armed. Tracing does not change
+	// the substrate: a direct run emits one compute event per working
+	// processor and one send event per compare-split pair, stamped with
+	// the predicted §3 clock.
 	Mode ExecMode
 	// OracleSample, when > 0 with direct execution active, re-runs one
 	// in every OracleSample direct results on the simulator oracle and
@@ -84,13 +88,17 @@ type EngineConfig struct {
 // ExecMode selects an Engine's execution substrate; see EngineConfig.Mode.
 type ExecMode = engine.Mode
 
-// Execution substrates: the simulator (measured Stats), the direct
-// host-speed path (predicted Stats), or automatic selection.
+// Execution substrates: the simulator (measured Stats) or the direct
+// host-speed path (predicted Stats).
 const (
 	ModeSim    = engine.ModeSim
 	ModeDirect = engine.ModeDirect
-	ModeAuto   = engine.ModeAuto
 )
+
+// ModeAuto is ModeDirect under its former name.
+//
+// Deprecated: use ModeDirect.
+const ModeAuto = engine.ModeAuto
 
 // ErrAdmissionRejected is found (via errors.Is) in a Result.Err or Sort
 // error when every machine of the request's configuration was busy and

@@ -446,8 +446,13 @@ func (c *Cluster) Batch(reqs []engine.Request) []engine.Result {
 }
 
 // BatchContext is Batch with a shared context: requests still waiting
-// when ctx is done return its error; running requests complete.
+// when ctx is done return its error; running requests complete. A
+// one-request batch runs on the caller's goroutine: the worker bound is
+// per call, so it cannot queue behind anything.
 func (c *Cluster) BatchContext(ctx context.Context, reqs []engine.Request) []engine.Result {
+	if len(reqs) == 1 {
+		return []engine.Result{c.DoContext(ctx, reqs[0])}
+	}
 	out := make([]engine.Result, len(reqs))
 	sem := make(chan struct{}, c.workers)
 	var wg sync.WaitGroup

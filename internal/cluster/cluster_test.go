@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -385,5 +386,49 @@ func TestClusterInstrument(t *testing.T) {
 	series := fmt.Sprintf("hypersort_cluster_shard_requests_total{shard=%d}", home)
 	if v := snap[series]; v.Value != 1 {
 		t.Fatalf("%s = %d, want 1", series, v.Value)
+	}
+}
+
+// TestClusterOneRequestBatchMatchesDo pins the one-request batch
+// shortcut: it must answer exactly what DoContext answers for the same
+// request — a sort, a dead-on-arrival context, and an invalid
+// configuration — on both substrates.
+func TestClusterOneRequestBatchMatchesDo(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	keys := workload.MustGenerate(workload.Uniform, 300, xrand.New(5))
+	cases := []struct {
+		name string
+		ctx  context.Context
+		req  engine.Request
+	}{
+		{"sort", context.Background(), engine.Request{Config: engine.Config{Dim: 4, Faults: []cubeNode{5}}, Keys: keys}},
+		{"median", context.Background(), engine.Request{Config: engine.Config{Dim: 3}, Op: engine.OpMedian, Keys: keys}},
+		{"cancelled", cancelled, engine.Request{Config: engine.Config{Dim: 4}, Keys: keys}},
+		{"invalid", context.Background(), engine.Request{Config: engine.Config{Dim: 4, Faults: []cubeNode{99}}, Keys: keys}},
+	}
+	for _, mode := range []engine.Mode{engine.ModeSim, engine.ModeDirect} {
+		c := New(Options{Shards: 2, PoolSize: 1, Workers: 2, Mode: mode})
+		for _, tc := range cases {
+			want := c.DoContext(tc.ctx, tc.req)
+			got := c.BatchContext(tc.ctx, []engine.Request{tc.req})
+			if len(got) != 1 {
+				t.Fatalf("%s/%s: %d results, want 1", mode, tc.name, len(got))
+			}
+			g := got[0]
+			if fmt.Sprint(g.Err) != fmt.Sprint(want.Err) {
+				t.Errorf("%s/%s: batch err %v, DoContext err %v", mode, tc.name, g.Err, want.Err)
+			}
+			if errors.Is(want.Err, context.Canceled) != errors.Is(g.Err, context.Canceled) {
+				t.Errorf("%s/%s: batch err %v lost context.Canceled", mode, tc.name, g.Err)
+			}
+			if !keysEqual(g.Keys, want.Keys) || g.Value != want.Value || g.Direct != want.Direct {
+				t.Errorf("%s/%s: batch result differs from DoContext", mode, tc.name)
+			}
+		}
+		if m := c.Metrics(); m.Requests != 2*int64(len(cases)) {
+			t.Errorf("%s: router counted %d requests, want %d", mode, m.Requests, 2*len(cases))
+		}
+		c.Close()
 	}
 }

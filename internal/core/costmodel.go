@@ -33,15 +33,41 @@ import (
 // several terms; the derivation in the prose fixes the per-step costs
 // used here).
 func CostEstimate(mKeys, n, mcut int, dead bool, c machine.CostModel) (machine.Time, error) {
+	t, err := NewCostTerms(mKeys, n, mcut, dead, c)
+	if err != nil {
+		return 0, err
+	}
+	s := int64(n - mcut)
+	m := int64(mcut)
+	intra := machine.Time(s*(s+1)/2) * t.Merge
+	return t.Heap + intra + machine.Time(m*(m+1)/2)*(t.Exchange+intra), nil
+}
+
+// CostTerms splits CostEstimate's closed form into its per-step terms,
+// so a caller that replays the schedule step by step (the direct
+// substrate's trace) lands on exactly CostEstimate's total.
+type CostTerms struct {
+	// Heap is the Step 3 local heapsort: [(k-1)*ceil(log2 k) + 1] * t_c.
+	Heap machine.Time
+	// Merge is one intra-subcube compare-exchange step, B.
+	Merge machine.Time
+	// Exchange is one Step 7 cross-subcube exchange without its Step 8
+	// re-sort: (s+1)*k*t_s/r + (ceil(k/2)-1)*t_c + (k-1)*t_c.
+	Exchange machine.Time
+}
+
+// NewCostTerms evaluates CostEstimate's per-step terms; see CostEstimate
+// for the parameters and the validation rules.
+func NewCostTerms(mKeys, n, mcut int, dead bool, c machine.CostModel) (CostTerms, error) {
 	if n < 0 || mcut < 0 || mcut > n {
-		return 0, fmt.Errorf("core: invalid dimensions n=%d m=%d", n, mcut)
+		return CostTerms{}, fmt.Errorf("core: invalid dimensions n=%d m=%d", n, mcut)
 	}
 	if mKeys < 0 {
-		return 0, fmt.Errorf("core: negative key count %d", mKeys)
+		return CostTerms{}, fmt.Errorf("core: negative key count %d", mKeys)
 	}
 	nWork := int64(1)<<n - boolInt(dead)<<mcut
 	if nWork <= 0 {
-		return 0, fmt.Errorf("core: no working processors (n=%d, m=%d)", n, mcut)
+		return CostTerms{}, fmt.Errorf("core: no working processors (n=%d, m=%d)", n, mcut)
 	}
 	k := ceilDiv(int64(mKeys), nWork)
 	if k == 0 {
@@ -49,14 +75,11 @@ func CostEstimate(mKeys, n, mcut int, dead bool, c machine.CostModel) (machine.T
 	}
 	s := int64(n - mcut)
 	tc, tsr := int64(c.Compare), int64(c.Elem)
-
-	heap := ((k-1)*ceilLog2(k) + 1) * tc
-	perStep := k*tsr + (ceilDiv(3*k, 2)-1)*tc
-	intra := s * (s + 1) / 2 * perStep
-	m64 := int64(mcut)
-	cross := (s+1)*k*tsr + (ceilDiv(k, 2)-1)*tc + (k-1)*tc + intra
-	total := heap + intra + m64*(m64+1)/2*cross
-	return machine.Time(total), nil
+	return CostTerms{
+		Heap:     machine.Time(((k-1)*ceilLog2(k) + 1) * tc),
+		Merge:    machine.Time(k*tsr + (ceilDiv(3*k, 2)-1)*tc),
+		Exchange: machine.Time((s+1)*k*tsr + (ceilDiv(k, 2)-1)*tc + (k-1)*tc),
+	}, nil
 }
 
 // CostEstimateCongestion is CostEstimate plus the congestion-aware

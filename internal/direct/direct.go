@@ -24,6 +24,12 @@
 // the oracle: the engine cross-checks sampled direct results against it
 // (see engine.SetOracleSample) and remains the only execution path while
 // chaos injections are armed.
+//
+// What the simulator's trace hook observes, direct mode replays: Trace
+// emits the schedule as machine.TraceEvents — one compute event per
+// working slot for the local sort, one send event per compare-split
+// pair — stamped with the same §3 terms Predict sums, so the direct
+// path can be traced without leaving it.
 package direct
 
 import (
@@ -54,11 +60,24 @@ type Schedule struct {
 	p      int     // number of working slots (= len(layout.Working))
 	pairs  []pair  // all rounds' pairs, flattened
 	rounds []int32 // rounds[r] = end offset (exclusive) of round r in pairs
+	// pos[r] is round r's structural position: the merge steps and
+	// Step 7 exchanges the kernel has completed when round r ends,
+	// counting the empty rounds Compile drops. Trace stamps round r at
+	// the §3 cost of that prefix.
+	pos []roundPos
+	// merges and exchanges count the structural rounds appended so far
+	// (empty ones included); after Compile they are the totals.
+	merges, exchanges int32
 	// hopSum is the per-direction route hops summed over all pairs
 	// (Hamming distance between the pair's physical addresses; merge
 	// partners are physically adjacent, cross-subcube partners need not
 	// be). KeyHops prediction = 2k * hopSum.
 	hopSum int64
+}
+
+// roundPos locates a round in the kernel's structural round sequence.
+type roundPos struct {
+	merges, exchanges int32
 }
 
 // Compile flattens layout's kernel structure into a Schedule, replaying
@@ -108,6 +127,7 @@ func (sch *Schedule) mergeRounds(ascending func(v cube.NodeID) bool) {
 	for si := 0; si < s; si++ {
 		for sj := si; sj >= 0; sj-- {
 			n := len(sch.pairs)
+			sch.merges++
 			for v := 0; v < numSub; v++ {
 				view := &l.Views[v]
 				asc := ascending(cube.NodeID(v))
@@ -136,9 +156,7 @@ func (sch *Schedule) mergeRounds(ascending func(v cube.NodeID) bool) {
 					sch.hopSum++ // merge partners are physically adjacent
 				}
 			}
-			if len(sch.pairs) > n {
-				sch.rounds = append(sch.rounds, int32(len(sch.pairs)))
-			}
+			sch.endRound(n)
 		}
 	}
 }
@@ -154,6 +172,7 @@ func (sch *Schedule) crossRound(i, j int) {
 	sp := l.Plan.Split
 	numSub := sp.NumSubcubes()
 	n := len(sch.pairs)
+	sch.exchanges++
 	for v := 0; v < numSub; v++ {
 		if cube.Bit(cube.NodeID(v), j) != 0 {
 			continue
@@ -177,8 +196,16 @@ func (sch *Schedule) crossRound(i, j int) {
 			}
 		}
 	}
+	sch.endRound(n)
+}
+
+// endRound closes the round whose pairs start at offset n, keeping it
+// only if it has any: a round whose every pair is dead is dropped, but
+// its structural step still counts toward later rounds' positions.
+func (sch *Schedule) endRound(n int) {
 	if len(sch.pairs) > n {
 		sch.rounds = append(sch.rounds, int32(len(sch.pairs)))
+		sch.pos = append(sch.pos, roundPos{merges: sch.merges, exchanges: sch.exchanges})
 	}
 }
 
@@ -251,6 +278,53 @@ func (sch *Schedule) Predict(nKeys int, cost machine.CostModel) (machine.Result,
 	}, nil
 }
 
+// Trace replays the schedule of an nKeys-key sort under cost as
+// machine trace events delivered to fn, so the direct substrate feeds
+// the same trace sinks (ring, Chrome/Perfetto exporter) the simulator
+// does. It emits P() TraceCompute events — one per working processor
+// for the Step 3 local sort, Keys = the heapsort charge — and then one
+// TraceSend per compare-split pair in schedule order, from the pair's
+// low to its high processor, with Keys = k, Hops = the Hamming distance
+// and Tag = the round index.
+//
+// Each Time is the end of the event's round under the §3 per-step terms
+// (core.NewCostTerms) that Predict's Makespan sums, evaluated at the
+// round's structural position. The last event's Time therefore equals
+// Predict's Makespan whenever the kernel's final round has live pairs
+// (every plan but one cut into Q_1 subcubes with a dead member, whose
+// merge rounds are all empty). A zero cost model normalizes to
+// machine.PaperCostModel, as in Predict.
+func (sch *Schedule) Trace(nKeys int, cost machine.CostModel, fn machine.TraceFunc) error {
+	if (cost == machine.CostModel{}) {
+		cost = machine.PaperCostModel()
+	}
+	plan := sch.layout.Plan
+	terms, err := core.NewCostTerms(nKeys, plan.Cube.Dim(), plan.Split.M(), plan.HasDead, cost)
+	if err != nil {
+		return err
+	}
+	k := sch.shareSize(nKeys)
+	work := sch.layout.Working
+	heap := int(heapCost(k))
+	for _, v := range work {
+		fn(machine.TraceEvent{Node: v, Kind: machine.TraceCompute, Peer: v, Keys: heap, Time: terms.Heap})
+	}
+	start := int32(0)
+	for r, end := range sch.rounds {
+		pos := sch.pos[r]
+		at := terms.Heap + machine.Time(pos.merges)*terms.Merge + machine.Time(pos.exchanges)*terms.Exchange
+		for _, pr := range sch.pairs[start:end] {
+			lo, hi := work[pr.lo], work[pr.hi]
+			fn(machine.TraceEvent{
+				Node: lo, Kind: machine.TraceSend, Peer: hi, Tag: machine.Tag(r),
+				Keys: int(k), Hops: cube.HammingDistance(lo, hi), Time: at,
+			})
+		}
+		start = end
+	}
+	return nil
+}
+
 // parallelThreshold is the padded key count (p*q) below which Sort runs
 // single-threaded: under it, the local sorts and rounds finish in tens
 // of microseconds and goroutine fan-out would cost more than it saves.
@@ -312,13 +386,36 @@ func (x *Exec) Sort(keys []sortutil.Key) ([]sortutil.Key, error) {
 		}
 	}
 
+	if workers == 1 {
+		// Inline: plain loops, so the steady state allocates nothing but
+		// the output (parallelFor's closures escape to the heap). The
+		// flattened pairs are already in round order.
+		for _, sh := range x.shares {
+			sortutil.SortHost(sh, sortutil.Ascending)
+		}
+		for _, pr := range sch.pairs {
+			x.step(pr)
+		}
+	} else {
+		x.sortParallel(workers)
+	}
+
+	out := make([]sortutil.Key, 0, p*q)
+	for _, sh := range x.shares {
+		out = append(out, sh...)
+	}
+	return sortutil.StripInf(out), nil
+}
+
+// sortParallel runs the local sorts and the compare-split rounds across
+// workers goroutines. Rounds run in schedule order; pairs within a round
+// are disjoint, so order within a round is free.
+func (x *Exec) sortParallel(workers int) {
+	sch := x.sched
 	// Step 3 local sorts: every slot, independently.
-	parallelFor(workers, p, func(i int) {
+	parallelFor(workers, sch.p, func(i int) {
 		sortutil.SortHost(x.shares[i], sortutil.Ascending)
 	})
-
-	// Compare-split rounds, in schedule order; pairs within a round are
-	// disjoint, so order within a round is free.
 	start := int32(0)
 	for _, end := range sch.rounds {
 		pairs := sch.pairs[start:end]
@@ -327,12 +424,6 @@ func (x *Exec) Sort(keys []sortutil.Key) ([]sortutil.Key, error) {
 		})
 		start = end
 	}
-
-	out := make([]sortutil.Key, 0, p*q)
-	for _, sh := range x.shares {
-		out = append(out, sh...)
-	}
-	return sortutil.StripInf(out), nil
 }
 
 // step performs one compare-split pair: afterwards slot pr.lo holds the

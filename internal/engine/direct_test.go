@@ -139,30 +139,58 @@ func TestDirectChaosFallback(t *testing.T) {
 	}
 }
 
-// TestModeAutoTraceFallback pins auto-mode semantics: with an
-// engine-wide trace hook attached auto serves the simulator (direct
-// runs emit no machine events); without one it serves direct.
-func TestModeAutoTraceFallback(t *testing.T) {
-	cfg := Config{Dim: 3}
+// TestDirectTraceKeepsSubstrate pins that tracing does not pick the
+// substrate: with an engine-wide trace hook attached a direct-mode sort
+// still runs direct, returns the same keys and prediction as an
+// untraced engine, and replays its schedule into the hook — one event
+// per working processor plus one per compare-split pair.
+func TestDirectTraceKeepsSubstrate(t *testing.T) {
+	cfg := Config{Dim: 4, Faults: []cube.NodeID{0, 7, 9}}
 	keys := directTestKeys(120, 4)
 
+	var mu sync.Mutex
+	var events []machine.TraceEvent
 	traced := New(1, 1)
 	defer traced.Close()
-	traced.SetTrace(func(machine.TraceEvent) {})
-	traced.SetMode(ModeAuto)
-	if res := traced.Do(Request{Config: cfg, Op: OpSort, Keys: keys}); res.Err != nil {
-		t.Fatal(res.Err)
-	} else if res.Direct {
-		t.Error("auto mode served direct despite an attached trace hook")
+	traced.SetTrace(func(ev machine.TraceEvent) {
+		mu.Lock()
+		events = append(events, ev)
+		mu.Unlock()
+	})
+	traced.SetMode(ModeDirect)
+	got := traced.Do(Request{Config: cfg, Op: OpSort, Keys: keys})
+	if got.Err != nil {
+		t.Fatal(got.Err)
+	}
+	if !got.Direct {
+		t.Fatal("traced direct-mode sort left the direct substrate")
 	}
 
 	plain := New(1, 1)
 	defer plain.Close()
-	plain.SetMode(ModeAuto)
-	if res := plain.Do(Request{Config: cfg, Op: OpSort, Keys: keys}); res.Err != nil {
-		t.Fatal(res.Err)
-	} else if !res.Direct {
-		t.Error("auto mode without trace did not serve direct")
+	plain.SetMode(ModeDirect)
+	want := plain.Do(Request{Config: cfg, Op: OpSort, Keys: keys})
+	if want.Err != nil {
+		t.Fatal(want.Err)
+	}
+	if !slices.Equal(got.Keys, want.Keys) || got.Res.Makespan != want.Res.Makespan || got.Res.KeyHops != want.Res.KeyHops {
+		t.Fatal("attaching a trace hook changed the direct result")
+	}
+
+	key := traced.planKey(cfg)
+	entry, err := traced.plan(key, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sch := entry.schedule()
+	if len(events) != sch.NumPairs()+sch.P() {
+		t.Fatalf("trace hook saw %d events, want NumPairs+P = %d", len(events), sch.NumPairs()+sch.P())
+	}
+	if last := events[len(events)-1].Time; last != got.Res.Makespan {
+		t.Errorf("last event at %d, predicted makespan %d", last, got.Res.Makespan)
+	}
+	if m := traced.Metrics(); m.MachinesBuilt != 0 {
+		t.Errorf("traced direct engine built %d machines, want 0", m.MachinesBuilt)
 	}
 }
 

@@ -7,7 +7,9 @@ package engine
 // simulator remains the oracle: sampled direct results are re-executed
 // on a pooled machine and cross-checked, and an armed chaos schedule
 // forces every request back onto the simulator (fault injection has no
-// meaning without one).
+// meaning without one). Tracing does not pick the substrate: a direct
+// run replays its schedule into the engine's trace hook
+// (direct.Schedule.Trace).
 
 import (
 	"context"
@@ -32,12 +34,12 @@ const (
 	// configuration whose pool has chaos injections armed — stays on the
 	// simulator.
 	ModeDirect
-	// ModeAuto is ModeDirect that additionally yields to the simulator
-	// whenever an engine-wide trace hook is attached: direct runs emit
-	// no machine events, so a tracing engine keeps the substrate that
-	// can be observed.
-	ModeAuto
 )
+
+// ModeAuto is ModeDirect under its former name.
+//
+// Deprecated: use ModeDirect.
+const ModeAuto = ModeDirect
 
 // String implements fmt.Stringer.
 func (m Mode) String() string {
@@ -46,8 +48,6 @@ func (m Mode) String() string {
 		return "sim"
 	case ModeDirect:
 		return "direct"
-	case ModeAuto:
-		return "auto"
 	}
 	return "mode(?)"
 }
@@ -70,13 +70,7 @@ func (e *Engine) SetOracleSample(n int) { e.oracleSample = n }
 // — the armed-chaos check is per pool (see poolArmed) so a disarm
 // re-enables direct service without rebuilding anything.
 func (e *Engine) directEligible(cfg Config, op Op) bool {
-	switch e.mode {
-	case ModeDirect:
-	case ModeAuto:
-		if e.trace != nil {
-			return false
-		}
-	default:
+	if e.mode != ModeDirect {
 		return false
 	}
 	// Half-exchange requests ask for the paper's literal two-round wire
@@ -113,8 +107,9 @@ func (entry *planEntry) schedule() *direct.Schedule {
 
 // serveDirect executes one eligible sort on the direct substrate: borrow
 // a pooled executor, sort at host speed, and attach the analytic
-// predicted Result. No machine is leased. Sampled results are
-// cross-checked against the simulator oracle before returning.
+// predicted Result. No machine is leased. With a trace hook attached the
+// sort's schedule is replayed into it. Sampled results are cross-checked
+// against the simulator oracle before returning.
 func (e *Engine) serveDirect(key partition.PlanKey, cfg Config, entry *planEntry, req Request) Result {
 	sch := entry.schedule()
 	x, _ := entry.execs.Get().(*direct.Exec)
@@ -129,6 +124,11 @@ func (e *Engine) serveDirect(key partition.PlanKey, cfg Config, entry *planEntry
 	pred, err := sch.Predict(len(req.Keys), cfg.Cost)
 	if err != nil {
 		return Result{Err: err}
+	}
+	if e.trace != nil {
+		if err := sch.Trace(len(req.Keys), cfg.Cost, e.trace); err != nil {
+			return Result{Err: err}
+		}
 	}
 	e.directReq.Add(1)
 	if e.em != nil {

@@ -329,10 +329,12 @@ func (e *Engine) Instrument(r *obs.Registry) {
 }
 
 // SetTrace attaches fn as the trace hook of every machine the engine
-// builds afterwards. fn is called concurrently from all processor
-// goroutines of all pooled machines and must be safe for concurrent use
-// (a bounded ring like trace.Ring is the intended sink). Call before the
-// engine serves requests: machines already pooled keep their old hook.
+// builds afterwards and of every direct run (which replays its schedule
+// into fn, see direct.Schedule.Trace). fn is called concurrently from
+// all processor goroutines of all pooled machines and from concurrent
+// direct requests, and must be safe for concurrent use (a bounded ring
+// like trace.Ring is the intended sink). Call before the engine serves
+// requests: machines already pooled keep their old hook.
 func (e *Engine) SetTrace(fn machine.TraceFunc) { e.trace = fn }
 
 // Metrics returns a snapshot of the lifetime counters.
